@@ -1,7 +1,8 @@
 // Shared infrastructure for the table/figure reproduction harnesses.
 //
 // Each bench binary regenerates one artefact of the paper's evaluation
-// (see DESIGN.md section 4).  They all accept:
+// (bench/run_baselines.sh records T1, T2 and A3 in docs/BASELINES.md).
+// They all accept:
 //   --scale S    bank scale relative to the paper's Mbp (default 0.05)
 //   --seed N     universe seed (default 42)
 //   --threads N  worker threads (default 1)

@@ -12,6 +12,20 @@
 //    the m8 column statistics (identities, mismatches, gap opens, length).
 //    The band is wide enough to contain any path the x-drop pass could
 //    have produced, so the recomputed score is >= the x-drop score.
+//
+// Exactness: both kernels are deterministic functions of their arguments.
+// Extents, scores, statistics and column operations, tie-breaks included
+// (H prefers the diagonal, then E, then F; a gap run is extended only
+// when that scores strictly better than reopening it), are pinned to a
+// straightforward guarded-DP reference by tests/gapped_kernel_test.cpp.
+// The m8 byte-identity across threads, shards and kernels rests on it.
+//
+// Scratch: each thread keeps its DP rows and traceback matrix between
+// calls (step 3 runs one extension per HSP), so the functions are safe to
+// call concurrently from any number of threads and allocate only when a
+// call needs more room than that thread has used before.  A buffer grown
+// past 4 MiB by one long alignment is released when the call returns, so
+// what a thread retains never exceeds what a single call needs.
 #pragma once
 
 #include <cstdint>

@@ -298,6 +298,10 @@ void print_stats(std::ostream& err, const core::PipelineStats& s,
       << "  step1 " << s.index_seconds << "s, step2 " << s.hsp_seconds
       << "s (kernel " << s.simd_kernel << "), step3 " << s.gapped_seconds
       << "s, total " << s.total_seconds << "s\n";
+  // Step-3 work: extensions whose statistics came from the pure-diagonal
+  // scan skip the banded re-DP that the rest pay for.
+  err << "  step3 extensions: " << s.gapped.gapped_extensions << " ("
+      << s.gapped.diagonal_fast_path << " diagonal fast path)\n";
   // Index memory accounting (paper section 3.1: ~5 bytes per position =
   // 4-byte chain entry + 1-byte SEQ code; dictionaries are O(4^W) apart).
   const double per_pos =

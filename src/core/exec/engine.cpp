@@ -300,6 +300,7 @@ ExecSummary execute(const ExecRequest& request, HitSink& sink) {
     st.gapped.hsps_in += gstats.hsps_in;
     st.gapped.skipped_contained += gstats.skipped_contained;
     st.gapped.gapped_extensions += gstats.gapped_extensions;
+    st.gapped.diagonal_fast_path += gstats.diagonal_fast_path;
     st.gapped.below_cutoff += gstats.below_cutoff;
     st.gapped.exact_duplicates += gstats.exact_duplicates;
 

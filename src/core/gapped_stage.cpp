@@ -99,6 +99,7 @@ void process_slice(const KeyedHsp* hsps, std::size_t count,
         stats.mismatches = len - matches;
         score = diag_score;
         have_stats = true;
+        ++st.diagonal_fast_path;
       }
     }
     if (!have_stats) {
@@ -205,6 +206,7 @@ std::vector<GappedAlignment> gapped_stage(std::vector<Hsp>& hsps,
       result.insert(result.end(), partial[s].begin(), partial[s].end());
       st.skipped_contained += partial_stats[s].skipped_contained;
       st.gapped_extensions += partial_stats[s].gapped_extensions;
+      st.diagonal_fast_path += partial_stats[s].diagonal_fast_path;
       st.below_cutoff += partial_stats[s].below_cutoff;
     }
   }

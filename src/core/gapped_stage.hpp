@@ -43,6 +43,10 @@ struct GappedStageStats {
   std::size_t hsps_in = 0;
   std::size_t skipped_contained = 0;  ///< HSPs inside an existing alignment
   std::size_t gapped_extensions = 0;
+  /// Extensions whose statistics came from the pure-diagonal scan; the
+  /// other gapped_extensions - diagonal_fast_path paid for the banded
+  /// re-DP (align::banded_global_stats).
+  std::size_t diagonal_fast_path = 0;
   std::size_t below_cutoff = 0;       ///< extensions failing the e-value cut
   std::size_t exact_duplicates = 0;   ///< identical alignments removed
 };

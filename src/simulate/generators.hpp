@@ -1,8 +1,9 @@
 // Synthetic sequence and bank generators.
 //
-// These replace the paper's GenBank-derived data sets (see DESIGN.md,
-// "Calibration-driven scope"): each generator reproduces the *shape* that
-// drives the algorithms — length distributions, cross-bank homology rates,
+// These replace the paper's GenBank-derived data sets (the per-bank
+// recipes are in simulate/paper_datasets.hpp; docs/BASELINES.md T1 lists
+// the resulting sizes): each generator reproduces the *shape* that drives
+// the algorithms — length distributions, cross-bank homology rates,
 // repeat content — with fully deterministic output.
 #pragma once
 

@@ -592,6 +592,14 @@ TEST_F(CliTest, FlatStatsReportIndexMemory) {
   EXPECT_NE(r.err.find("bytes/position"), std::string::npos) << r.err;
 }
 
+TEST_F(CliTest, FlatStatsReportStep3Work) {
+  const CliResult r = run_cli(
+      {"--bank1", bank1_, "--bank2", bank2_, "--stats"});
+  ASSERT_EQ(r.exit_code, kOk) << r.err;
+  EXPECT_NE(r.err.find("step3 extensions: "), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find(" diagonal fast path)"), std::string::npos) << r.err;
+}
+
 #ifdef SCORIS_CLI_PATH
 TEST_F(CliTest, SubprocessBinaryRunsEndToEnd) {
   const std::string out_path = dir_ + "cli_subprocess.m8";

@@ -249,6 +249,26 @@ TEST(GappedStage, SortedByEvalue) {
   }
 }
 
+TEST(GappedStage, DiagonalFastPathCountPinned) {
+  // A fixed input whose extensions split between the pure-diagonal scan
+  // and the banded re-DP.  The split is deterministic: pinned here, and
+  // independent of the thread count.
+  simulate::Rng rng(71);
+  const auto hp = simulate::make_homologous_pair(rng, 300, 20, 16, 0.03);
+  Options opt;
+  opt.dust = false;
+  opt.threads = 1;
+  const Result r1 = Pipeline(opt).run(hp.bank1, hp.bank2);
+  opt.threads = 4;
+  const Result r4 = Pipeline(opt).run(hp.bank1, hp.bank2);
+  EXPECT_EQ(r1.stats.gapped.gapped_extensions, 16u);
+  EXPECT_EQ(r1.stats.gapped.diagonal_fast_path, 5u);
+  EXPECT_EQ(r4.stats.gapped.gapped_extensions,
+            r1.stats.gapped.gapped_extensions);
+  EXPECT_EQ(r4.stats.gapped.diagonal_fast_path,
+            r1.stats.gapped.diagonal_fast_path);
+}
+
 // --- pipeline --------------------------------------------------------------------
 
 TEST(Pipeline, FindsPlantedHomology) {
