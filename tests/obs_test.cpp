@@ -195,6 +195,36 @@ TEST(LogTest, LevelFilteringSuppressesBelowThreshold) {
   EXPECT_FALSE(logger.enabled(LogLevel::kInfo));
 }
 
+TEST(Log, LevelGateStored) {
+  std::ostringstream out;
+  Logger logger(out);
+  EXPECT_EQ(logger.level(), LogLevel::kInfo);
+  logger.set_level(LogLevel::kError);
+  EXPECT_EQ(logger.level(), LogLevel::kError);
+  EXPECT_FALSE(logger.enabled(LogLevel::kWarn));
+  logger.set_level(LogLevel::kDebug);
+  EXPECT_EQ(logger.level(), LogLevel::kDebug);
+  EXPECT_TRUE(logger.enabled(LogLevel::kDebug));
+}
+
+TEST(Log, EmitFunctionsDoNotCrash) {
+  std::ostringstream out;
+  Logger logger(out, LogLevel::kError);
+  logger.debug("debug", {kv("n", 1)});
+  logger.info("info", {kv("x", 2.5)});
+  logger.warn("warn", {kv("s", "x")});
+  EXPECT_TRUE(out.str().empty());
+  logger.set_level(LogLevel::kDebug);
+  logger.debug("debug", {kv("n", 1)});
+  logger.info("info", {kv("x", 2.5)});
+  logger.warn("warn", {kv("s", "x")});
+  logger.error("error");
+  EXPECT_NE(out.str().find("DEBUG debug n=1\n"), std::string::npos);
+  EXPECT_NE(out.str().find("INFO info x=2.5\n"), std::string::npos);
+  EXPECT_NE(out.str().find("WARN warn s=x\n"), std::string::npos);
+  EXPECT_NE(out.str().find("ERROR error\n"), std::string::npos);
+}
+
 TEST(LogTest, Rfc3339TimestampShape) {
   const std::string ts = rfc3339_utc_now();
   ASSERT_EQ(ts.size(), 24u);  // YYYY-MM-DDTHH:MM:SS.mmmZ
