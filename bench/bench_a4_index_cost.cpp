@@ -1,5 +1,5 @@
 // A4 — verifies the paper's section-3.1 claim that the index structure
-// costs approximately 5 bytes per nucleotide (4-byte INDEX chain + 1-byte
+// costs approximately 5 bytes per nucleotide (4-byte INDEX entry + 1-byte
 // SEQ, plus the 4^W dictionary), and measures indexing throughput.
 #include "common.hpp"
 
@@ -27,11 +27,9 @@ int main(int argc, char** argv) {
     const index::BankIndex idx(bank, coder);
     const double secs = t.seconds();
     const double n = static_cast<double>(bank.total_bases());
-    // Per-nucleotide cost: chain + SEQ byte (dictionary reported apart
-    // since it is O(4^W), not O(N)).
-    const double chain_bytes =
-        static_cast<double>(idx.memory_bytes()) -
-        static_cast<double>(coder.num_seeds()) * sizeof(std::int32_t);
+    // Per-nucleotide cost: INDEX positions + SEQ byte (dictionary reported
+    // apart since it is O(4^W), not O(N)).
+    const auto chain_bytes = static_cast<double>(idx.chain_bytes());
     const double per_nt = (chain_bytes + static_cast<double>(bank.data_size())) / n;
     table.add_row({name, util::Table::fmt(n / 1e6, 2),
                    util::Table::fmt((chain_bytes + n) / 1e6, 1),

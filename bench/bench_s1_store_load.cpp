@@ -1,6 +1,6 @@
 // S1 — the persistent index store's reason to exist: cold start from FASTA
 // (parse + DUST + BankIndex build, what every `scoris` invocation used to
-// pay) vs loading a prebuilt .scix artifact (bank unpack + chain adoption,
+// pay) vs loading a prebuilt .scix artifact (bank unpack + index adoption,
 // what `scoris search` pays).  Also reports the artifact's on-disk size
 // against the paper's ~5N-byte in-memory figure.
 #include "common.hpp"
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     const index::BankIndex built(parsed, index::SeedCoder(key.w), iopt);
     const double cold = t_cold.seconds();
 
-    // Artifact path: unpack the bank, adopt the serialized chains.
+    // Artifact path: unpack the bank, adopt the serialized lists.
     util::WallTimer t_load;
     const auto loaded = store::load_index(scix_path);
     const double load = t_load.seconds();

@@ -7,9 +7,11 @@
 // versions, lying lengths) that pin the error paths the regression test
 // replays.
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,8 +20,11 @@
 #include "core/exec/run_merge.hpp"
 #include "core/options.hpp"
 #include "dist/protocol.hpp"
+#include "filter/dust.hpp"
+#include "index/bank_index.hpp"
 #include "net/frame.hpp"
 #include "seqio/fasta.hpp"
+#include "store/format.hpp"
 #include "store/index_store.hpp"
 
 namespace fs = std::filesystem;
@@ -125,6 +130,59 @@ void gen_dist_options(const fs::path& dir) {
   write_seed(dir, "empty_payload", std::string(1, '\x01'));
 }
 
+/// A version-1 .scix in the chain layout: the same BANK section as
+/// `scix`, then an INDX body holding the paper's dictionary and chain
+/// ahead of the bitmap and the CSR lists, so the fuzzer keeps reaching
+/// the compatibility branch of the loader.
+std::string legacy_chain_scix(const std::string& scix,
+                              const seqio::SequenceBank& bank,
+                              const store::IndexKey& key) {
+  filter::MaskBitmap mask = filter::dust_mask(bank, key.dust_params);
+  index::IndexOptions iopt;
+  iopt.mask = &mask;
+  const index::BankIndex idx(bank, index::SeedCoder(key.w), iopt);
+  std::vector<std::int32_t> first(idx.coder().num_seeds(), -1);
+  std::vector<std::int32_t> next(bank.data_size(), -1);
+  for (index::SeedCode c = 0; c < idx.coder().num_seeds(); ++c) {
+    const auto occ = idx.occurrences_span(c);
+    if (occ.empty()) continue;
+    first[c] = occ.front();
+    for (std::size_t i = 0; i + 1 < occ.size(); ++i) {
+      next[static_cast<std::size_t>(occ[i])] = occ[i + 1];
+    }
+  }
+
+  // Header (magic, version, endianness tag), then the BANK section framed
+  // as [tag 4][payload length u64][crc32 u32][payload].
+  constexpr std::size_t kHeader = 12;
+  constexpr std::size_t kFrame = 16;
+  std::uint64_t bank_payload = 0;
+  std::memcpy(&bank_payload, scix.data() + kHeader + 4, sizeof(bank_payload));
+  std::ostringstream os(std::ios::binary);
+  store::write_header(os, store::make_tag("SCIX"), 1);
+  os << scix.substr(kHeader, kFrame + bank_payload);
+
+  store::SectionWriter section(store::make_tag("INDX"));
+  section.put_u32(static_cast<std::uint32_t>(key.w));
+  section.put_u32(static_cast<std::uint32_t>(key.stride));
+  section.put_u32(1);
+  section.put_u32(static_cast<std::uint32_t>(key.dust_params.window));
+  section.put_u32(static_cast<std::uint32_t>(key.dust_params.level));
+  section.put_u64(bank.data_size());
+  section.put_u64(idx.total_indexed());
+  section.put_u64(idx.distinct_seeds());
+  section.put_u64(idx.masked_bases());
+  section.put_array(std::span<const std::int32_t>(first));
+  section.put_array(std::span<const std::int32_t>(next));
+  section.put_array(
+      std::span<const std::uint64_t>(idx.indexed_bitmap().words()));
+  section.put_u64(idx.indexed_bitmap().size());
+  section.put_array(idx.occurrence_offsets());
+  section.put_array(idx.occurrence_positions());
+  section.finish(os);
+  return os.str();
+}
+
 void gen_scix(const fs::path& dir) {
   seqio::SequenceBank bank = seqio::read_fasta_string(
       ">r1 first\nACGTACGTACGTACGTACGTACGTACGTACGT\n"
@@ -135,6 +193,7 @@ void gen_scix(const fs::path& dir) {
   std::ostringstream os(std::ios::binary);
   store::write_index(os, bank, {&key, 1});
   const std::string scix = os.str();
+  write_seed(dir, "legacy_chains", legacy_chain_scix(scix, bank, key));
 
   write_seed(dir, "valid", scix);
   write_seed(dir, "truncated_half", scix.substr(0, scix.size() / 2));

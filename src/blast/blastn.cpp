@@ -138,7 +138,7 @@ BlastResult BlastN::run_single(const seqio::SequenceBank& bank1,
       continue;
     }
 
-    for (std::int32_t h1 = db.first(code); h1 >= 0; h1 = db.next(h1)) {
+    for (const std::int32_t h1 : db.occurrences_span(code)) {
       ++result.stats.hit_pairs;
       const auto p1 = static_cast<std::size_t>(h1);
       const std::size_t diag = p1 - word_start + n2;

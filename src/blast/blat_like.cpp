@@ -99,7 +99,7 @@ BlatResult BlatLike::run_single(const seqio::SequenceBank& bank1,
     if (options_.dust && mask2.any_in(word_start, static_cast<std::size_t>(w))) {
       continue;
     }
-    for (std::int32_t h1 = db.first(code); h1 >= 0; h1 = db.next(h1)) {
+    for (const std::int32_t h1 : db.occurrences_span(code)) {
       ++result.stats.hit_pairs;
       const auto p1 = static_cast<std::size_t>(h1);
       const std::size_t diag = p1 - word_start + n2;

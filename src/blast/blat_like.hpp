@@ -7,7 +7,7 @@
 // stores only NON-OVERLAPPING W-mers (stride = W), cutting index memory by
 // a factor of W, and the query is scanned at every position against it.
 // Consequences reproduced here:
-//  * index memory ~ N/W chain entries instead of N (vs ORIS's 5N bytes);
+//  * index memory ~ N/W position entries instead of N (vs ORIS's 5N bytes);
 //  * a homologous region is detected only if it contains an exact W-mer
 //    match aligned to the database's W-grid, so sensitivity drops for
 //    diverged sequences — BLAT is built for high-identity comparisons;

@@ -303,15 +303,18 @@ void print_stats(std::ostream& err, const core::PipelineStats& s,
   err << "  step3 extensions: " << s.gapped.gapped_extensions << " ("
       << s.gapped.diagonal_fast_path << " diagonal fast path)\n";
   // Index memory accounting (paper section 3.1: ~5 bytes per position =
-  // 4-byte chain entry + 1-byte SEQ code; dictionaries are O(4^W) apart).
+  // 4-byte INDEX entry + 1-byte SEQ code; dictionaries are O(4^W) apart).
+  // The CSR offsets are the dictionaries and the position lists the INDEX
+  // arrays, one entry per indexed word.
   const double per_pos =
       s.index_positions == 0
           ? 0.0
           : static_cast<double>(s.index_chain_bytes + s.index_positions) /
                 static_cast<double>(s.index_positions);
-  err << "  index memory: " << s.index_dict_bytes << " B dictionaries + "
-      << s.index_chain_bytes << " B chains over " << s.index_positions
-      << " positions (" << std::fixed << std::setprecision(2) << per_pos
+  err << "  index memory: " << s.index_dict_bytes
+      << " B dictionaries (CSR offsets) + " << s.index_chain_bytes
+      << " B position lists over " << s.index_positions << " positions ("
+      << std::fixed << std::setprecision(2) << per_pos
       << " bytes/position incl. SEQ)\n"
       << std::defaultfloat << std::setprecision(6);
   // Delivery-path buffering: what the engine retained between a group
@@ -1182,7 +1185,7 @@ bool parse_search_cli(int argc, const char* const* argv, CliConfig& config,
     return false;
   }
   if (!parse_search_options(args, config, err)) return false;
-  // Artifacts cap W at 13 (int32 chains); the flat form's W=14 can never
+  // Artifacts cap W at 13 (4^W offsets); the flat form's W=14 can never
   // match a payload, so reject it here as the usage error it is —
   // except under --asymmetric, where the effective word length is 10.
   if (config.w > 13 && !config.asymmetric) {

@@ -1,6 +1,6 @@
 // SCORIS-N: the four-step ORIS pipeline (paper figure 1).
 //
-//   step 1  index both banks (dictionary + chain, optional DUST mask,
+//   step 1  index both banks (CSR occurrence lists, optional DUST mask,
 //           optional stride-2 asymmetric indexing of bank2)
 //   step 2  enumerate all 4^W seed codes in increasing order; for every
 //           occurrence pair run the ordered ungapped extension; keep HSPs
@@ -55,12 +55,13 @@ struct PipelineStats {
   std::size_t duplicate_hsps = 0;   ///< removed duplicates (order off only)
   std::size_t index_bytes = 0;      ///< both indexes
   // Index memory accounting (the ROADMAP's Mbp-scale probe): the O(4^W)
-  // dictionaries and O(N) chains of both indexes, and the chain positions
-  // they cover.  bytes/position = (chains + positions) / positions — the
-  // paper's ~5N counts the 4-byte chain entry plus the 1-byte SEQ code.
-  std::size_t index_dict_bytes = 0;   ///< dictionary bytes, both indexes
-  std::size_t index_chain_bytes = 0;  ///< chain bytes, both indexes
-  std::size_t index_positions = 0;    ///< bank positions covered by chains
+  // CSR offsets (the paper's dictionaries) and O(N) position lists (its
+  // INDEX arrays) of both indexes, and the bank positions they cover.
+  // bytes/position = (lists + positions) / positions — the paper's ~5N
+  // counts the 4-byte INDEX entry plus the 1-byte SEQ code.
+  std::size_t index_dict_bytes = 0;   ///< CSR offset bytes, both indexes
+  std::size_t index_chain_bytes = 0;  ///< position-list bytes, both indexes
+  std::size_t index_positions = 0;    ///< bank positions of both banks
   std::size_t masked_bases = 0;     ///< DUST-masked positions, both banks
   /// Match-run kernel the step-2 extensions ran with ("scalar", "sse4.1",
   /// "avx2") — the dispatcher's pick, or scalar when forced by the

@@ -1,36 +1,36 @@
-// BankIndex — the paper's figure-2 structure.
+// BankIndex — the paper's figure-2 structure, stored as CSR lists.
 //
-// A dictionary of 4^W int32 entries (first occurrence of each seed, -1 when
-// absent) plus an INDEX array parallel to the bank's SEQ array chaining the
-// positions of identical seeds in ascending position order.  Memory is
-// therefore ~ 4 bytes per position (INDEX) + 1 byte per position (SEQ,
+// The paper indexes a bank with a 4^W dictionary plus an INDEX array that
+// holds one 4-byte entry per position, chaining the positions of identical
+// seeds (section 3.1).  Here the same information is laid out as
+// compressed-sparse-row occurrence lists: occ_offsets (4^W + 1 entries)
+// says where each seed's run starts, and occ_positions (one int32 per
+// indexed word) holds every seed's positions in ascending order.  The
+// offsets play the dictionary's part and the positions the INDEX array's,
+// so memory is ~4 bytes per indexed position + 1 byte per position (SEQ,
 // owned by the bank) + 4*4^W dictionary bytes — the paper's "approximately
-// 5 N bytes" (section 3.1), which bench_a4_index_cost verifies.
+// 5 N bytes", which bench_a4_index_cost verifies.  The step-2 scan walks a
+// seed's occurrences as one contiguous slice, and occurrence counts are
+// O(1) offset subtractions.
+//
+// The build is a counting sort in two ascending passes over the bank:
+// count codes, prefix-sum the counts into starts, scatter positions.
 //
 // Options cover the paper's two indexing variants:
-//  * a low-complexity mask: masked words are not chained (section 2.1);
+//  * a low-complexity mask: masked words are not indexed (section 2.1);
 //  * stride-2 subsampling ("asymmetric indexing" of 10-nt words, section
 //    3.4): only every other word of the bank is indexed.
 //
-// The dictionary and chain live behind spans: an index either owns its
-// buffers (built by the constructor) or *adopts* externally owned ones
-// (deserialized from a .scix store, or — later — a 2-bit-packed chain
-// experiment) without copying or re-scanning the bank.
-//
-// Alongside the paper's chains the index keeps *flattened occurrence
-// lists* in CSR layout (offsets + positions): the step-2 scan walks
-// occurrences of a seed as one contiguous int32 slice instead of chasing
-// `next` pointers across the whole INDEX array, occurrence counts become
-// O(1) offset subtractions, and the scan can prefetch and pre-size from
-// exact per-code counts.  The lists ride the same adopt() seam — newly
-// written artifacts serialize them (optional trailing payload fields, see
-// save_body), older artifacts fall back to a one-pass reconstruction.
+// The lists live behind spans: an index either owns its buffers (built by
+// the constructor) or *adopts* externally owned ones (deserialized from a
+// .scix store) without copying or re-scanning the bank.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "filter/mask.hpp"
@@ -52,24 +52,17 @@ struct IndexOptions {
   const filter::MaskBitmap* mask = nullptr;  ///< optional soft mask
 };
 
-/// Prebuilt index buffers handed to BankIndex::adopt. `first`/`next` may
-/// point into memory owned elsewhere; `owner` keeps that memory alive for
-/// the index's lifetime.
+/// Prebuilt index buffers handed to BankIndex::adopt.  The spans may point
+/// into memory owned elsewhere; `owner` keeps that memory alive for the
+/// index's lifetime.  Sizes are validated; contents are trusted (the
+/// store's CRC guards the bytes).
 struct AdoptedIndex {
-  std::span<const std::int32_t> first;  ///< 4^W entries, -1 = absent
-  std::span<const std::int32_t> next;   ///< one per bank data position
-  filter::MaskBitmap indexed;           ///< word-start membership bitmap
+  std::span<const std::uint32_t> occ_offsets;   ///< 4^W + 1 entries
+  std::span<const std::int32_t> occ_positions;  ///< total_indexed entries
+  filter::MaskBitmap indexed;                   ///< word-start bitmap
   std::size_t total_indexed = 0;
   std::size_t distinct_seeds = 0;
   std::size_t masked_bases = 0;  ///< mask popcount at build time
-  /// Optional flattened occurrence lists (CSR layout, see
-  /// BankIndex::occurrences_span).  When empty — e.g. loading an artifact
-  /// written before the lists were serialized — adopt() reconstructs them
-  /// from the chains in one pass; when present they must be consistent
-  /// with `first`/`next` (sizes are validated, contents trusted like the
-  /// other adopted buffers — the store's CRC guards the bytes).
-  std::span<const std::uint32_t> occ_offsets;  ///< 4^W + 1 entries
-  std::span<const std::int32_t> occ_positions;  ///< total_indexed entries
   std::shared_ptr<const void> owner;  ///< keep-alive for the spans above
 };
 
@@ -98,16 +91,6 @@ class BankIndex {
   [[nodiscard]] const SeedCoder& coder() const { return coder_; }
   [[nodiscard]] int w() const { return coder_.w(); }
 
-  /// First occurrence (lowest global position) of `code`, or -1.
-  [[nodiscard]] std::int32_t first(SeedCode code) const {
-    return first_[code];
-  }
-
-  /// Next occurrence of the same seed after global position `pos`, or -1.
-  [[nodiscard]] std::int32_t next(std::int32_t pos) const {
-    return next_[static_cast<std::size_t>(pos)];
-  }
-
   /// True when global position `pos` is a word start present in the index
   /// (i.e. all-ACGT, not masked, stride-selected).  The ORIS seed-order
   /// abort must only trigger on seeds that are actually enumerable, which
@@ -117,11 +100,7 @@ class BankIndex {
   }
 
   /// All occurrences of `code` in ascending position order, as one
-  /// contiguous slice of the flattened occurrence array.  This is the
-  /// step-2 scan's view of the index: where the `first`/`next` chains
-  /// cost one dependent load per occurrence (a pointer chase across the
-  /// whole INDEX array), the CSR slice streams linearly and its length
-  /// is known up front.
+  /// contiguous slice of the occurrence array.
   [[nodiscard]] std::span<const std::int32_t> occurrences_span(
       SeedCode code) const {
     return occ_positions_.subspan(occ_offsets_[code],
@@ -145,9 +124,8 @@ class BankIndex {
   /// Occupancy histogram over the seed-code space: bucket b counts the
   /// indexed positions whose code falls in [b*ceil(4^W/buckets), ...).
   /// The bucket sum equals total_indexed().  `buckets` is clamped to
-  /// [1, 4^W].  O(4^W) over the CSR offsets — no chain walk — so plan
-  /// compilation places its adaptive shard boundaries without re-reading
-  /// the whole INDEX array.
+  /// [1, 4^W].  O(4^W) over the CSR offsets, so plan compilation places
+  /// its adaptive shard boundaries without re-reading the positions.
   [[nodiscard]] std::vector<std::size_t> occupancy_histogram(
       std::size_t buckets) const;
 
@@ -162,35 +140,28 @@ class BankIndex {
   /// a fresh build without rerunning DUST.
   [[nodiscard]] std::size_t masked_bases() const { return masked_bases_; }
 
-  /// Bytes of the 4^W first-occurrence dictionary.
+  /// Bytes of the 4^W + 1 occurrence offsets — the paper's dictionary.
   [[nodiscard]] std::size_t dictionary_bytes() const {
-    return first_.size() * sizeof(std::int32_t);
+    return occ_offsets_.size() * sizeof(std::uint32_t);
   }
 
-  /// Bytes of the per-position occurrence chain (the paper's INDEX array).
+  /// Bytes of the occurrence positions — the paper's INDEX array, holding
+  /// one entry per indexed word rather than per bank position.
   [[nodiscard]] std::size_t chain_bytes() const {
-    return next_.size() * sizeof(std::int32_t);
+    return occ_positions_.size() * sizeof(std::int32_t);
   }
 
-  /// Bytes of the flattened occurrence lists (CSR offsets + positions) —
-  /// the scan-side mirror of dictionary + chain, reported separately so
-  /// the paper's ~5N chain accounting stays comparable.
-  [[nodiscard]] std::size_t occurrence_bytes() const {
-    return occ_offsets_.size() * sizeof(std::uint32_t) +
-           occ_positions_.size() * sizeof(std::int32_t);
-  }
+  /// Index bytes held beyond dictionary_bytes() + chain_bytes(): 0, since
+  /// the CSR lists are the only representation.  Kept so memory reports
+  /// that sum all three stay correct if a side structure returns.
+  [[nodiscard]] std::size_t occurrence_bytes() const { return 0; }
 
-  /// Bytes held by the paper's index structures (dictionary + chain; the
-  /// CSR occurrence lists are accounted via occurrence_bytes()).
+  /// Bytes held by the index: dictionary + positions.
   [[nodiscard]] std::size_t memory_bytes() const {
     return dictionary_bytes() + chain_bytes();
   }
 
   /// Raw buffer access (serialization).
-  [[nodiscard]] std::span<const std::int32_t> dictionary() const {
-    return first_;
-  }
-  [[nodiscard]] std::span<const std::int32_t> chain() const { return next_; }
   [[nodiscard]] std::span<const std::uint32_t> occurrence_offsets() const {
     return occ_offsets_;
   }
@@ -210,40 +181,44 @@ class BankIndex {
   [[nodiscard]] static BankIndex load(std::istream& is,
                                       const seqio::SequenceBank& bank);
 
-  /// Append the index body — counters, dictionary, chain, word-start
-  /// bitmap — to a section.  One layout shared by the bare .scoi format
-  /// and the .scix store's INDX payloads.
+  /// Append the index body — counters, word-start bitmap, occurrence
+  /// offsets and positions — to a section.  One layout shared by the bare
+  /// .scoi format and the .scix store's INDX payloads.
   void save_body(store::SectionWriter& section) const;
 
-  /// Read a body written by save_body and adopt its buffers: dictionary
-  /// and chain become zero-copy views pinned by the section's payload
-  /// owner.  `what` prefixes diagnostics; throws std::runtime_error when
+  /// Read a body written by save_body and adopt its buffers: offsets and
+  /// positions become zero-copy views pinned by the section's payload
+  /// owner.  With `chain_layout` the body is the older one written before
+  /// the chains were dropped (counters, dictionary, chain, bitmap, then
+  /// optionally the lists): the chains are skipped, and the lists are
+  /// copied out when present or rebuilt from the bank and the bitmap when
+  /// not.  `what` prefixes diagnostics; throws std::runtime_error when
   /// the body does not fit `bank`/`coder`.
   [[nodiscard]] static BankIndex load_body(store::SectionReader& section,
                                            const seqio::SequenceBank& bank,
                                            const SeedCoder& coder,
-                                           const std::string& what);
+                                           const std::string& what,
+                                           bool chain_layout);
 
  private:
   BankIndex(const seqio::SequenceBank& bank, const SeedCoder& coder,
             int /*adopt_tag*/)
       : bank_(&bank), coder_(coder) {}
 
-  /// Flatten the first/next chains into the CSR arrays (one chain walk;
-  /// positions come out in the chains' ascending order).
-  void build_occurrence_lists();
+  /// Counting-sort build of the lists, bitmap and counters over the word
+  /// starts that `word_kept(p, local)` accepts among those whose W bases
+  /// are all concrete and unmasked (global position p, sequence-local
+  /// offset local).
+  template <typename Keep>
+  void build(const filter::MaskBitmap* mask, Keep word_kept);
 
   const seqio::SequenceBank* bank_;
   SeedCoder coder_;
   // Owned storage when built in place; empty when adopting, in which case
   // owner_ pins the external memory behind the spans.
-  std::vector<std::int32_t> first_storage_;
-  std::vector<std::int32_t> next_storage_;
   std::vector<std::uint32_t> occ_offsets_storage_;
   std::vector<std::int32_t> occ_positions_storage_;
   std::shared_ptr<const void> owner_;
-  std::span<const std::int32_t> first_;  // 4^W entries, -1 = absent
-  std::span<const std::int32_t> next_;   // one per bank data position
   // CSR occurrence lists: positions of code c live at
   // occ_positions_[occ_offsets_[c] .. occ_offsets_[c+1]), ascending.
   std::span<const std::uint32_t> occ_offsets_;   // 4^W + 1 entries

@@ -105,7 +105,9 @@ std::string rfc3339_utc_now() {
                       1000;
   std::tm tm{};
   gmtime_r(&secs, &tm);
-  char buf[32];
+  // Sized for the widest text the int fields could format to (78 bytes),
+  // so snprintf provably never truncates.
+  char buf[80];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
                 tm.tm_min, tm.tm_sec, static_cast<int>(millis));

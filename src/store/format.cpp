@@ -105,7 +105,9 @@ void write_header(std::ostream& os, const Tag& magic, std::uint32_t version) {
 
 std::uint32_t read_header(std::istream& is, const Tag& magic,
                           std::uint32_t supported_version,
-                          const std::string& what) {
+                          const std::string& what,
+                          std::uint32_t oldest_version) {
+  if (oldest_version == 0) oldest_version = supported_version;
   Tag found = {};
   is.read(found.data(), found.size());
   if (!is || found != magic) {
@@ -119,7 +121,7 @@ std::uint32_t read_header(std::istream& is, const Tag& magic,
   // payload) must be reported as outdated, while a byte-swapped file reads
   // a huge version number and must be blamed on byte order, not "upgrade
   // scoris".
-  if (version < supported_version) {
+  if (version < oldest_version) {
     throw std::runtime_error(what + ": unsupported version " +
                              std::to_string(version) +
                              " (older than this build; rebuild the file)");

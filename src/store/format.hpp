@@ -68,11 +68,13 @@ void write_header(std::ostream& os, const Tag& magic, std::uint32_t version);
 ///  * version > supported      — "<what>: file is version N but this build
 ///                                supports <= M (artifact from a newer
 ///                                scoris; rebuild it or upgrade)"
-///  * any other version != supported — "<what>: unsupported version N"
-/// Returns the file's version (== supported on success).
+///  * version < oldest         — "<what>: unsupported version N"
+/// `oldest_version` (0 = supported_version) is the oldest version this
+/// build still reads.  Returns the file's version.
 std::uint32_t read_header(std::istream& is, const Tag& magic,
                           std::uint32_t supported_version,
-                          const std::string& what);
+                          const std::string& what,
+                          std::uint32_t oldest_version = 0);
 
 // --- sections ---------------------------------------------------------------
 

@@ -15,7 +15,10 @@ namespace {
 constexpr Tag kStoreMagic = make_tag("SCIX");
 constexpr Tag kBankSection = make_tag("BANK");
 constexpr Tag kIndexSection = make_tag("INDX");
-constexpr std::uint32_t kStoreVersion = 1;
+// Version 2 INDX bodies hold the CSR lists only; version 1 artifacts (the
+// chain layout, see BankIndex::load_body) still load.
+constexpr std::uint32_t kStoreVersion = 2;
+constexpr std::uint32_t kOldestStoreVersion = 1;
 
 /// 2-bit-pack the concatenated bases of a bank (sentinels excluded, 4 bases
 /// per byte, little-endian within the byte). Ambiguous bases pack as 0 and
@@ -112,7 +115,7 @@ void write_index_section(std::ostream& os, const IndexKey& key,
 
 std::pair<IndexKey, index::BankIndex> read_index_section(
     SectionReader& section, const seqio::SequenceBank& bank,
-    const std::string& what) {
+    const std::string& what, bool chain_layout) {
   IndexKey key;
   key.w = static_cast<int>(section.read_u32());
   key.stride = static_cast<int>(section.read_u32());
@@ -131,7 +134,8 @@ std::pair<IndexKey, index::BankIndex> read_index_section(
                              ": INDX section does not match BANK section");
   }
   return {key, index::BankIndex::load_body(section, bank,
-                                           index::SeedCoder(key.w), what)};
+                                           index::SeedCoder(key.w), what,
+                                           chain_layout)};
 }
 
 }  // namespace
@@ -225,7 +229,8 @@ const index::BankIndex& IndexStore::require(const IndexKey& key) const {
 }
 
 IndexStore load_index(std::istream& is, const std::string& what) {
-  read_header(is, kStoreMagic, kStoreVersion, what);
+  const std::uint32_t version =
+      read_header(is, kStoreMagic, kStoreVersion, what, kOldestStoreVersion);
 
   IndexStore result;
   SectionReader bank_section(is, what);
@@ -242,7 +247,8 @@ IndexStore load_index(std::istream& is, const std::string& what) {
       throw std::runtime_error(what + ": unexpected " + section.tag_name() +
                                " section");
     }
-    auto [key, idx] = read_index_section(section, *result.bank_, what);
+    auto [key, idx] = read_index_section(section, *result.bank_, what,
+                                         /*chain_layout=*/version < 2);
     result.keys_.push_back(key);
     result.indexes_.push_back(std::move(idx));
   }

@@ -8,15 +8,16 @@
 //
 //   BANK  the sequence bank, 2-bit packed (4 bases/byte) with the name
 //         table and an exception list for ambiguous bases;
-//   IDX0+ one or more BankIndex payloads (dictionary + occurrence chains +
-//         word-start bitmap), each keyed by the W/stride/DUST settings it
-//         was built with.
+//   INDX+ one or more BankIndex payloads (word-start bitmap + CSR
+//         occurrence offsets and positions), each keyed by the
+//         W/stride/DUST settings it was built with.
 //
 // Every section carries a CRC-32, so truncation and bit-flips are rejected
 // with a diagnostic naming the failing section instead of producing garbage
 // hits.  Loading reconstructs the bank from the packed codes and *adopts*
-// the serialized dictionary/chain buffers into BankIndex without re-scanning
-// a single sequence (see BankIndex::adopt).
+// the serialized occurrence lists into BankIndex without re-scanning a
+// single sequence (see BankIndex::adopt).  Version 1 artifacts, whose INDX
+// bodies also carry the paper's dictionary/chain arrays, still load.
 #pragma once
 
 #include <iosfwd>

@@ -1,8 +1,10 @@
 // Tests for src/index: seed coding (the paper's order), rolling updates,
-// and the dictionary + chain bank index.
+// and the CSR bank index.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <utility>
 
 #include "filter/dust.hpp"
 #include "index/bank_index.hpp"
@@ -305,6 +307,127 @@ TEST(BankIndex, EmptyAndTinyBanks) {
   tiny.add("t", "ACG");  // shorter than W
   const BankIndex tiny_idx(tiny, coder);
   EXPECT_EQ(tiny_idx.total_indexed(), 0u);
+}
+
+// --- counting-sort build vs a brute-force reference -------------------------
+
+/// Random sequences with N runs, some shorter than `w`.
+seqio::SequenceBank ragged_bank(simulate::Rng& rng, int w) {
+  seqio::SequenceBank bank("ragged");
+  for (int i = 0; i < 12; ++i) {
+    const std::size_t len =
+        i % 4 == 0 ? rng.next_below(static_cast<std::uint64_t>(w))
+                   : 1 + rng.next_below(400);
+    auto codes = simulate::random_codes(rng, len);
+    for (std::size_t p = 0; p < codes.size(); ++p) {
+      if (rng.next_bool(0.01)) {
+        const std::size_t run = 1 + rng.next_below(12);
+        for (std::size_t q = p; q < std::min(codes.size(), p + run); ++q) {
+          codes[q] = seqio::kAmbiguous;
+        }
+      }
+    }
+    bank.add_codes("s" + std::to_string(i), codes);
+  }
+  return bank;
+}
+
+/// Random masked bits, plus the first and last bases of every sequence.
+filter::MaskBitmap ragged_mask(simulate::Rng& rng,
+                               const seqio::SequenceBank& bank) {
+  filter::MaskBitmap mask(bank.data_size());
+  for (std::size_t p = 0; p < bank.data_size(); ++p) {
+    if (rng.next_bool(0.02)) mask.set(p);
+  }
+  for (std::size_t s = 0; s < bank.size(); ++s) {
+    const std::size_t off = bank.offset(s);
+    const std::size_t len = bank.length(s);
+    mask.set_range(off, off + std::min<std::size_t>(len, 3));
+    mask.set_range(off + len - std::min<std::size_t>(len, 2), off + len);
+  }
+  return mask;
+}
+
+/// Build with `w`/`stride`/`mask` and compare every output of the index
+/// against a per-position code_at + any_in walk over sequence-local
+/// offsets.
+void expect_matches_brute_force(const seqio::SequenceBank& bank, int w,
+                                int stride,
+                                const filter::MaskBitmap* mask) {
+  SCOPED_TRACE("w=" + std::to_string(w) + " stride=" +
+               std::to_string(stride) + (mask ? " masked" : ""));
+  const SeedCoder coder(w);
+  IndexOptions opt;
+  opt.stride = stride;
+  opt.mask = mask;
+  const BankIndex idx(bank, coder, opt);
+
+  const auto data = bank.data();
+  const auto uw = static_cast<std::size_t>(w);
+  std::vector<std::pair<SeedCode, seqio::Pos>> words;
+  filter::MaskBitmap bitmap(bank.data_size());
+  for (std::size_t s = 0; s < bank.size(); ++s) {
+    const std::size_t off = bank.offset(s);
+    for (std::size_t local = 0; local + uw <= bank.length(s); ++local) {
+      if (local % static_cast<std::size_t>(stride) != 0) continue;
+      const auto code = coder.code_at(data, off + local);
+      if (!code || (mask != nullptr && mask->any_in(off + local, uw))) {
+        continue;
+      }
+      words.emplace_back(*code, static_cast<seqio::Pos>(off + local));
+      bitmap.set(off + local);
+    }
+  }
+  std::sort(words.begin(), words.end());
+
+  ASSERT_EQ(idx.total_indexed(), words.size());
+  ASSERT_EQ(idx.occurrence_offsets().size(), coder.num_seeds() + 1);
+  EXPECT_EQ(idx.occurrence_offsets().front(), 0u);
+  EXPECT_EQ(idx.occurrence_offsets().back(), words.size());
+  EXPECT_EQ(idx.masked_bases(), mask != nullptr ? mask->count() : 0u);
+  EXPECT_EQ(idx.indexed_bitmap().words(), bitmap.words());
+  std::size_t distinct = 0;
+  for (std::size_t i = 0; i < words.size();) {
+    const SeedCode code = words[i].first;
+    std::vector<std::int32_t> expected;
+    for (; i < words.size() && words[i].first == code; ++i) {
+      expected.push_back(static_cast<std::int32_t>(words[i].second));
+    }
+    const auto got = idx.occurrences_span(code);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), expected.begin(),
+                           expected.end()))
+        << "code " << code;
+    ++distinct;
+  }
+  // Every listed position belongs to a checked code, so no other code
+  // can hold any.
+  EXPECT_EQ(idx.distinct_seeds(), distinct);
+}
+
+TEST(BankIndex, CountingSortBuildMatchesBruteForce) {
+  for (const int w : {1, 4, 8, 11, 12}) {
+    simulate::Rng rng(static_cast<std::uint64_t>(500 + w));
+    const auto bank = ragged_bank(rng, w);
+    const auto mask = ragged_mask(rng, bank);
+    for (const int stride : {1, 2, w}) {
+      expect_matches_brute_force(bank, w, stride, nullptr);
+      expect_matches_brute_force(bank, w, stride, &mask);
+    }
+    const seqio::SequenceBank empty;
+    expect_matches_brute_force(empty, w, 1, nullptr);
+  }
+}
+
+TEST(BankIndex, MemoryBytesIsOffsetsPlusPositions) {
+  simulate::Rng rng(23);
+  const auto bank = ragged_bank(rng, 8);
+  const SeedCoder coder(8);
+  const BankIndex idx(bank, coder);
+  EXPECT_EQ(idx.memory_bytes(),
+            4 * (coder.num_seeds() + 1) + 4 * idx.total_indexed());
+  EXPECT_EQ(idx.dictionary_bytes(), 4 * (coder.num_seeds() + 1));
+  EXPECT_EQ(idx.chain_bytes(), 4 * idx.total_indexed());
+  EXPECT_EQ(idx.occurrence_bytes(), 0u);
 }
 
 }  // namespace

@@ -356,25 +356,32 @@ TEST(OccurrenceLists, SpanMatchesChainWalk) {
   const SeedCoder coder(6);
   const BankIndex idx(bank, coder);
 
+  // Reference: every indexed word start, bucketed by its code in
+  // ascending position order.
+  std::vector<std::vector<std::int32_t>> expected(coder.num_seeds());
+  for (std::size_t p = 0; p < bank.data_size(); ++p) {
+    if (!idx.is_indexed(static_cast<seqio::Pos>(p))) continue;
+    const auto code = coder.code_at(bank.data(), p);
+    ASSERT_TRUE(code.has_value()) << "indexed non-word at " << p;
+    expected[*code].push_back(static_cast<std::int32_t>(p));
+  }
+
   std::size_t covered = 0;
   for (SeedCode c = 0; c < coder.num_seeds(); ++c) {
-    std::vector<std::int32_t> chain;
-    for (std::int32_t p = idx.first(c); p >= 0; p = idx.next(p)) {
-      chain.push_back(p);
-    }
     const auto span = idx.occurrences_span(c);
-    ASSERT_EQ(span.size(), chain.size()) << "code " << c;
-    EXPECT_TRUE(std::equal(span.begin(), span.end(), chain.begin()))
+    ASSERT_EQ(span.size(), expected[c].size()) << "code " << c;
+    EXPECT_TRUE(std::equal(span.begin(), span.end(), expected[c].begin()))
         << "code " << c;
-    EXPECT_EQ(idx.occurrence_count(c), chain.size()) << "code " << c;
-    covered += chain.size();
+    EXPECT_EQ(idx.occurrence_count(c), expected[c].size()) << "code " << c;
+    covered += expected[c].size();
   }
   EXPECT_EQ(covered, idx.total_indexed());
   EXPECT_EQ(idx.occurrence_offsets().size(), coder.num_seeds() + 1);
   EXPECT_EQ(idx.occurrence_positions().size(), idx.total_indexed());
-  EXPECT_EQ(idx.occurrence_bytes(),
+  EXPECT_EQ(idx.memory_bytes(),
             (coder.num_seeds() + 1) * sizeof(std::uint32_t) +
                 idx.total_indexed() * sizeof(std::int32_t));
+  EXPECT_EQ(idx.occurrence_bytes(), 0u);
 }
 
 }  // namespace

@@ -54,6 +54,14 @@ std::string store_blob(const seqio::SequenceBank& bank,
   return buf.str();
 }
 
+/// A key with word length `w`, every other setting at its default.
+store::IndexKey key_w(int w, bool dust = true) {
+  store::IndexKey key;
+  key.w = w;
+  key.dust = dust;
+  return key;
+}
+
 store::IndexStore load_blob(const std::string& blob) {
   std::stringstream buf(blob);
   return store::load_index(buf, "index store");
@@ -241,7 +249,7 @@ TEST(IndexStoreBank, AmbiguityCodesCollapseToN) {
   seqio::SequenceBank bank("amb");
   bank.add("s", "ACGTRYKMACGT");
   const auto loaded =
-      load_blob(store_blob(bank, {store::IndexKey{.w = 4, .dust = false}}));
+      load_blob(store_blob(bank, {key_w(4, /*dust=*/false)}));
   EXPECT_EQ(loaded.bank().bases(0), "ACGTNNNNACGT");
   EXPECT_EQ(loaded.bank().bases(0), bank.bases(0));
 }
@@ -324,40 +332,103 @@ TEST(IndexStoreIndex, BareIndexRoundTripsOccurrenceLists) {
   }
 }
 
-TEST(IndexStoreIndex, LegacyArtifactWithoutOccurrenceListsStillLoads) {
-  // Artifacts written before the occurrence lists existed stop after the
-  // bitmap size; load_body must fall back to reconstructing the lists
-  // from the chains.  Hand-write that old body layout.
-  const auto bank = make_bank(814, 4);
-  const index::SeedCoder coder(8);
-  const index::BankIndex fresh(bank, coder);
+/// The paper's dictionary (first occurrence per code, -1 = absent) and
+/// per-position chain (next occurrence, -1 = last), as the chain-layout
+/// bodies stored them.
+struct LegacyChains {
+  std::vector<std::int32_t> first;
+  std::vector<std::int32_t> next;
+};
 
+LegacyChains legacy_chains(const index::BankIndex& idx) {
+  LegacyChains chains{
+      std::vector<std::int32_t>(idx.coder().num_seeds(), -1),
+      std::vector<std::int32_t>(idx.bank().data_size(), -1)};
+  for (index::SeedCode c = 0; c < idx.coder().num_seeds(); ++c) {
+    const auto occ = idx.occurrences_span(c);
+    if (occ.empty()) continue;
+    chains.first[c] = occ.front();
+    for (std::size_t i = 0; i + 1 < occ.size(); ++i) {
+      chains.next[static_cast<std::size_t>(occ[i])] = occ[i + 1];
+    }
+  }
+  return chains;
+}
+
+/// A version-2 bare index file in the chain layout: counters, dictionary,
+/// chain, bitmap, and — when `with_lists` — the trailing CSR lists.
+std::string legacy_index_blob(const index::BankIndex& idx, bool with_lists) {
+  const LegacyChains chains = legacy_chains(idx);
   std::stringstream buf;
   store::write_header(buf, store::make_tag("SCOI"), 2);
   store::SectionWriter section(store::make_tag("INDX"));
-  section.put_u32(8);
-  section.put_u64(bank.data_size());
-  section.put_u64(fresh.total_indexed());
-  section.put_u64(fresh.distinct_seeds());
-  section.put_u64(fresh.masked_bases());
-  section.put_array(fresh.dictionary());
-  section.put_array(fresh.chain());
+  section.put_u32(static_cast<std::uint32_t>(idx.w()));
+  section.put_u64(idx.bank().data_size());
+  section.put_u64(idx.total_indexed());
+  section.put_u64(idx.distinct_seeds());
+  section.put_u64(idx.masked_bases());
+  section.put_array(std::span<const std::int32_t>(chains.first));
+  section.put_array(std::span<const std::int32_t>(chains.next));
   section.put_array(
-      std::span<const std::uint64_t>(fresh.indexed_bitmap().words()));
-  section.put_u64(fresh.indexed_bitmap().size());
+      std::span<const std::uint64_t>(idx.indexed_bitmap().words()));
+  section.put_u64(idx.indexed_bitmap().size());
+  if (with_lists) {
+    section.put_array(idx.occurrence_offsets());
+    section.put_array(idx.occurrence_positions());
+  }
   section.finish(buf);
+  return buf.str();
+}
 
-  const auto loaded = index::BankIndex::load(buf, bank);
+void expect_same_lists(const index::BankIndex& loaded,
+                       const index::BankIndex& fresh) {
   EXPECT_EQ(loaded.total_indexed(), fresh.total_indexed());
-  ASSERT_EQ(loaded.occurrence_offsets().size(), coder.num_seeds() + 1);
+  EXPECT_EQ(loaded.distinct_seeds(), fresh.distinct_seeds());
+  ASSERT_EQ(loaded.occurrence_offsets().size(),
+            fresh.coder().num_seeds() + 1);
   ASSERT_EQ(loaded.occurrence_positions().size(), fresh.total_indexed());
-  for (index::SeedCode c = 0; c < coder.num_seeds(); ++c) {
+  for (index::SeedCode c = 0; c < fresh.coder().num_seeds(); ++c) {
     const auto a = loaded.occurrences_span(c);
     const auto b = fresh.occurrences_span(c);
     ASSERT_EQ(a.size(), b.size()) << "seed code " << c;
     ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin()))
         << "seed code " << c;
   }
+  for (std::size_t p = 0; p < fresh.bank().data_size(); ++p) {
+    ASSERT_EQ(loaded.is_indexed(static_cast<seqio::Pos>(p)),
+              fresh.is_indexed(static_cast<seqio::Pos>(p)));
+  }
+}
+
+TEST(IndexStoreIndex, LegacyArtifactWithoutOccurrenceListsStillLoads) {
+  // Artifacts written before the occurrence lists existed stop after the
+  // bitmap size; load_body must fall back to rebuilding the lists from
+  // the bank and the word-start bitmap.  Hand-write that old body layout.
+  const auto bank = make_bank(814, 4);
+  const index::SeedCoder coder(8);
+  const index::BankIndex fresh(bank, coder);
+
+  std::stringstream buf(legacy_index_blob(fresh, /*with_lists=*/false));
+  const auto loaded = index::BankIndex::load(buf, bank);
+  expect_same_lists(loaded, fresh);
+}
+
+TEST(IndexStoreIndex, LegacyArtifactWithOccurrenceListsSkipsChains) {
+  // Chain-layout bodies that also carry the trailing lists adopt the
+  // lists and skip the chains.  A stride and a mask make the bitmap
+  // differ from "every word", so a rebuild would be caught.
+  const auto bank = make_bank(815, 4);
+  const auto mask = filter::dust_mask(bank);
+  index::IndexOptions iopt;
+  iopt.stride = 2;
+  iopt.mask = &mask;
+  const index::BankIndex fresh(bank, index::SeedCoder(8), iopt);
+
+  std::stringstream buf(legacy_index_blob(fresh, /*with_lists=*/true));
+  const auto loaded = index::BankIndex::load(buf, bank);
+  expect_same_lists(loaded, fresh);
+  EXPECT_EQ(loaded.masked_bases(), fresh.masked_bases());
+  EXPECT_EQ(loaded.memory_bytes(), fresh.memory_bytes());
 }
 
 TEST(IndexStoreIndex, MultiplePayloadsAreKeyed) {
@@ -500,7 +571,7 @@ TEST(IndexStoreReject, WrongMagic) {
 
 TEST(IndexStoreReject, TruncatedAtEveryQuarter) {
   const auto bank = make_bank(819, 4);
-  const std::string blob = store_blob(bank, {store::IndexKey{.w = 8}});
+  const std::string blob = store_blob(bank, {key_w(8)});
   for (const std::size_t num : {1u, 2u, 3u}) {
     std::stringstream cut(blob.substr(0, blob.size() * num / 4));
     EXPECT_THROW((void)store::load_index(cut, "index store"),
@@ -511,7 +582,7 @@ TEST(IndexStoreReject, TruncatedAtEveryQuarter) {
 
 TEST(IndexStoreReject, CorruptBankSectionNamedInDiagnostic) {
   const auto bank = make_bank(821, 4);
-  std::string blob = store_blob(bank, {store::IndexKey{.w = 8}});
+  std::string blob = store_blob(bank, {key_w(8)});
   ASSERT_TRUE(testing::corrupt_section(blob, "BANK"));
   try {
     (void)load_blob(blob);
@@ -524,7 +595,7 @@ TEST(IndexStoreReject, CorruptBankSectionNamedInDiagnostic) {
 
 TEST(IndexStoreReject, CorruptIndexSectionNamedInDiagnostic) {
   const auto bank = make_bank(823, 4);
-  std::string blob = store_blob(bank, {store::IndexKey{.w = 8}});
+  std::string blob = store_blob(bank, {key_w(8)});
   ASSERT_TRUE(testing::corrupt_section(blob, "INDX"));
   try {
     (void)load_blob(blob);
@@ -537,7 +608,7 @@ TEST(IndexStoreReject, CorruptIndexSectionNamedInDiagnostic) {
 
 TEST(IndexStoreReject, FutureVersionNamedInDiagnostic) {
   const auto bank = make_bank(825, 2);
-  std::string blob = store_blob(bank, {store::IndexKey{.w = 8}});
+  std::string blob = store_blob(bank, {key_w(8)});
   blob[4] = 99;  // version u32 starts at byte 4
   try {
     (void)load_blob(blob);
@@ -545,6 +616,42 @@ TEST(IndexStoreReject, FutureVersionNamedInDiagnostic) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("newer"), std::string::npos);
   }
+}
+
+TEST(IndexStoreReject, InconsistentIndexBodyRejected) {
+  // CRC-valid bodies whose sizes disagree must be rejected at load, before
+  // a bitmap test or an occurrence slice can read past its buffer.
+  const auto bank = make_bank(826, 2);
+  const index::BankIndex fresh(bank, index::SeedCoder(6));
+  const auto words = fresh.indexed_bitmap().words();
+  const auto offsets = fresh.occurrence_offsets();
+  const auto blob = [&](std::size_t word_count, std::size_t total) {
+    std::stringstream buf;
+    store::write_header(buf, store::make_tag("SCOI"), 3);
+    store::SectionWriter section(store::make_tag("INDX"));
+    section.put_u32(6);
+    section.put_u64(bank.data_size());
+    section.put_u64(total);
+    section.put_u64(fresh.distinct_seeds());
+    section.put_u64(0);
+    section.put_array(std::span<const std::uint64_t>(words.data(), word_count));
+    section.put_u64(fresh.indexed_bitmap().size());
+    section.put_array(offsets);
+    section.put_array(fresh.occurrence_positions().first(total));
+    section.finish(buf);
+    return buf.str();
+  };
+  const std::size_t total = fresh.total_indexed();
+  ASSERT_GT(words.size(), 1u);
+  ASSERT_GT(total, 1u);
+  std::stringstream good(blob(words.size(), total));
+  EXPECT_EQ(index::BankIndex::load(good, bank).total_indexed(), total);
+  std::stringstream short_bitmap(blob(words.size() - 1, total));
+  EXPECT_THROW((void)index::BankIndex::load(short_bitmap, bank),
+               std::runtime_error);
+  std::stringstream short_lists(blob(words.size(), total - 1));
+  EXPECT_THROW((void)index::BankIndex::load(short_lists, bank),
+               std::runtime_error);
 }
 
 TEST(IndexStoreReject, EmptyKeyListAndBadW) {
