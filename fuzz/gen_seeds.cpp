@@ -130,6 +130,49 @@ void gen_dist_options(const fs::path& dir) {
   write_seed(dir, "empty_payload", std::string(1, '\x01'));
 }
 
+/// `scix`'s BANK section under a fresh header at `version`, then one
+/// INDX section for `key` whose body `write_body` fills after the key
+/// fields: a hand-built artifact that is CRC-valid however odd its body.
+template <typename WriteBody>
+std::string scix_with_index_body(const std::string& scix,
+                                 std::uint32_t version,
+                                 const seqio::SequenceBank& bank,
+                                 const store::IndexKey& key,
+                                 WriteBody&& write_body) {
+  // Header (magic, version, endianness tag), then the BANK section framed
+  // as [tag 4][payload length u64][crc32 u32][payload].
+  constexpr std::size_t kHeader = 12;
+  constexpr std::size_t kFrame = 16;
+  std::uint64_t bank_payload = 0;
+  std::memcpy(&bank_payload, scix.data() + kHeader + 4, sizeof(bank_payload));
+  std::ostringstream os(std::ios::binary);
+  store::write_header(os, store::make_tag("SCIX"), version);
+  os << scix.substr(kHeader, kFrame + bank_payload);
+
+  store::SectionWriter section(store::make_tag("INDX"));
+  section.put_u32(static_cast<std::uint32_t>(key.w));
+  section.put_u32(static_cast<std::uint32_t>(key.stride));
+  section.put_u32(key.dust ? 1 : 0);
+  section.put_u32(
+      static_cast<std::uint32_t>(key.dust ? key.dust_params.window : 0));
+  section.put_u32(
+      static_cast<std::uint32_t>(key.dust ? key.dust_params.level : 0));
+  section.put_u64(bank.data_size());
+  write_body(section);
+  section.finish(os);
+  return os.str();
+}
+
+/// The index `write_index` stores for `key` over `bank`.
+index::BankIndex stored_index(const seqio::SequenceBank& bank,
+                              const store::IndexKey& key,
+                              filter::MaskBitmap& mask) {
+  mask = filter::dust_mask(bank, key.dust_params);
+  index::IndexOptions iopt;
+  iopt.mask = &mask;
+  return index::BankIndex(bank, index::SeedCoder(key.w), iopt);
+}
+
 /// A version-1 .scix in the chain layout: the same BANK section as
 /// `scix`, then an INDX body holding the paper's dictionary and chain
 /// ahead of the bitmap and the CSR lists, so the fuzzer keeps reaching
@@ -137,10 +180,8 @@ void gen_dist_options(const fs::path& dir) {
 std::string legacy_chain_scix(const std::string& scix,
                               const seqio::SequenceBank& bank,
                               const store::IndexKey& key) {
-  filter::MaskBitmap mask = filter::dust_mask(bank, key.dust_params);
-  index::IndexOptions iopt;
-  iopt.mask = &mask;
-  const index::BankIndex idx(bank, index::SeedCoder(key.w), iopt);
+  filter::MaskBitmap mask;
+  const index::BankIndex idx = stored_index(bank, key, mask);
   std::vector<std::int32_t> first(idx.coder().num_seeds(), -1);
   std::vector<std::int32_t> next(bank.data_size(), -1);
   for (index::SeedCode c = 0; c < idx.coder().num_seeds(); ++c) {
@@ -151,36 +192,44 @@ std::string legacy_chain_scix(const std::string& scix,
       next[static_cast<std::size_t>(occ[i])] = occ[i + 1];
     }
   }
+  return scix_with_index_body(
+      scix, 1, bank, key, [&](store::SectionWriter& section) {
+        section.put_u64(idx.total_indexed());
+        section.put_u64(idx.distinct_seeds());
+        section.put_u64(idx.masked_bases());
+        section.put_array(std::span<const std::int32_t>(first));
+        section.put_array(std::span<const std::int32_t>(next));
+        section.put_array(
+            std::span<const std::uint64_t>(idx.indexed_bitmap().words()));
+        section.put_u64(idx.indexed_bitmap().size());
+        section.put_array(idx.occurrence_offsets());
+        section.put_array(idx.occurrence_positions());
+      });
+}
 
-  // Header (magic, version, endianness tag), then the BANK section framed
-  // as [tag 4][payload length u64][crc32 u32][payload].
-  constexpr std::size_t kHeader = 12;
-  constexpr std::size_t kFrame = 16;
-  std::uint64_t bank_payload = 0;
-  std::memcpy(&bank_payload, scix.data() + kHeader + 4, sizeof(bank_payload));
-  std::ostringstream os(std::ios::binary);
-  store::write_header(os, store::make_tag("SCIX"), 1);
-  os << scix.substr(kHeader, kFrame + bank_payload);
-
-  store::SectionWriter section(store::make_tag("INDX"));
-  section.put_u32(static_cast<std::uint32_t>(key.w));
-  section.put_u32(static_cast<std::uint32_t>(key.stride));
-  section.put_u32(1);
-  section.put_u32(static_cast<std::uint32_t>(key.dust_params.window));
-  section.put_u32(static_cast<std::uint32_t>(key.dust_params.level));
-  section.put_u64(bank.data_size());
-  section.put_u64(idx.total_indexed());
-  section.put_u64(idx.distinct_seeds());
-  section.put_u64(idx.masked_bases());
-  section.put_array(std::span<const std::int32_t>(first));
-  section.put_array(std::span<const std::int32_t>(next));
-  section.put_array(
-      std::span<const std::uint64_t>(idx.indexed_bitmap().words()));
-  section.put_u64(idx.indexed_bitmap().size());
-  section.put_array(idx.occurrence_offsets());
-  section.put_array(idx.occurrence_positions());
-  section.finish(os);
-  return os.str();
+/// A current-version .scix whose one CSR offset points 100 past the
+/// positions: every size and the CRC are right, so only the loader's
+/// offset-order check stands between it and an out-of-bounds slice.
+std::string bad_offset_scix(const std::string& scix,
+                            const seqio::SequenceBank& bank,
+                            const store::IndexKey& key) {
+  filter::MaskBitmap mask;
+  const index::BankIndex idx = stored_index(bank, key, mask);
+  const auto good = idx.occurrence_offsets();
+  std::vector<std::uint32_t> offsets(good.begin(), good.end());
+  offsets[offsets.size() / 2] =
+      static_cast<std::uint32_t>(idx.total_indexed() + 100);
+  return scix_with_index_body(
+      scix, 2, bank, key, [&](store::SectionWriter& section) {
+        section.put_u64(idx.total_indexed());
+        section.put_u64(idx.distinct_seeds());
+        section.put_u64(idx.masked_bases());
+        section.put_array(
+            std::span<const std::uint64_t>(idx.indexed_bitmap().words()));
+        section.put_u64(idx.indexed_bitmap().size());
+        section.put_array(std::span<const std::uint32_t>(offsets));
+        section.put_array(idx.occurrence_positions());
+      });
 }
 
 void gen_scix(const fs::path& dir) {
@@ -194,6 +243,7 @@ void gen_scix(const fs::path& dir) {
   store::write_index(os, bank, {&key, 1});
   const std::string scix = os.str();
   write_seed(dir, "legacy_chains", legacy_chain_scix(scix, bank, key));
+  write_seed(dir, "bad_offset", bad_offset_scix(scix, bank, key));
 
   write_seed(dir, "valid", scix);
   write_seed(dir, "truncated_half", scix.substr(0, scix.size() / 2));

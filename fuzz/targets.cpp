@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <span>
@@ -119,7 +120,21 @@ int scix(const std::uint8_t* data, std::size_t size) {
   const std::string bytes(reinterpret_cast<const char*>(data), size);
   std::istringstream is(bytes, std::ios::binary);
   try {
-    (void)store::load_index(is, "fuzz scix");
+    const store::IndexStore loaded = store::load_index(is, "fuzz scix");
+    // A loaded index must be safe to walk: every occurrence slice stays
+    // inside its positions and names a word inside the bank.
+    for (std::size_t i = 0; i < loaded.size(); ++i) {
+      const index::BankIndex& idx = loaded.index(i);
+      const auto w = static_cast<std::size_t>(idx.coder().w());
+      for (index::SeedCode c = 0; c < idx.coder().num_seeds(); ++c) {
+        for (const std::int32_t p : idx.occurrences_span(c)) {
+          if (p < 0 ||
+              static_cast<std::size_t>(p) + w > loaded.bank().data_size()) {
+            std::abort();
+          }
+        }
+      }
+    }
   } catch (const std::runtime_error&) {
     // Bad magic, future version, truncation, checksum mismatch — all
     // documented load_index outcomes.

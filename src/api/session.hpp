@@ -36,6 +36,7 @@
 #include <string>
 
 #include "api/hit_sink.hpp"
+#include "core/exec/engine.hpp"
 #include "core/options.hpp"
 #include "core/pipeline.hpp"
 #include "index/bank_index.hpp"
@@ -131,6 +132,13 @@ class Session {
   [[nodiscard]] core::Result search_collect(
       const seqio::SequenceBank& bank2,
       const SearchLimits& limits = {}) const;
+
+  /// The engine request search() runs for `bank2` under `limits`: the
+  /// session's options with the limits' overrides applied and validated,
+  /// and bank2 cut into budget slices (no cut leaves `slices` empty: one
+  /// whole-bank slice).
+  [[nodiscard]] core::exec::ExecRequest plan(
+      const seqio::SequenceBank& bank2, const SearchLimits& limits) const;
 
   [[nodiscard]] const seqio::SequenceBank& reference() const;
   [[nodiscard]] const index::BankIndex& reference_index() const {

@@ -197,6 +197,41 @@ bool reject_unknown_flags(const util::Args& args,
   return true;
 }
 
+bool reject_positionals(const util::Args& args, const char* subcommand,
+                        std::ostream& err) {
+  if (args.positional().empty()) return true;
+  err << "error: " << subcommand << " takes no positional arguments, got '"
+      << args.positional()[0] << "'\n";
+  return false;
+}
+
+bool parse_endpoint_flag(const std::string& spec, net::Endpoint& endpoint,
+                         std::ostream& err) {
+  try {
+    endpoint = net::parse_endpoint(spec);
+  } catch (const net::NetError& e) {
+    err << "error: " << e.what() << '\n';
+    return false;
+  }
+  return true;
+}
+
+/// --log-level and --log-file of the two daemons.
+bool parse_log_flags(const util::Args& args, std::string& log_level,
+                     std::string& log_file, std::ostream& err) {
+  const std::string level = args.get("log-level");
+  if (!level.empty()) {
+    if (!obs::parse_log_level(level)) {
+      err << "error: --log-level must be error, warn, info, or debug (got '"
+          << level << "')\n";
+      return false;
+    }
+    log_level = level;
+  }
+  log_file = args.get("log-file");
+  return true;
+}
+
 /// Map a parsed CliConfig onto core::Options and validate.  Options::
 /// validate() (plus set_strand/set_schedule for the name-to-enum maps)
 /// is the single source of truth for what is legal, so the CLI rejects
@@ -600,88 +635,81 @@ int run_index(const IndexCliConfig& config, std::ostream& err) {
   return kOk;
 }
 
-/// The serving daemon, reachable from the SIGINT/SIGTERM handlers.
-/// Server::request_stop is async-signal-safe (atomic store + write(2)),
-/// so the handler body is too.
-std::atomic<daemon::Server*> g_serving{nullptr};
-/// Likewise for `scoris worker` — Worker::request_stop shares the same
-/// atomic-plus-wake-pipe contract.  One process runs at most one of the
-/// two daemons, so a single handler checking both atomics suffices.
-std::atomic<dist::Worker*> g_worker{nullptr};
+/// The running daemon's connection server (`scoris serve` or `scoris
+/// worker`; one process runs at most one), reachable from the
+/// SIGINT/SIGTERM handler.  ConnServer::request_stop is async-signal-safe
+/// (one write(2)), so the handler body is too.
+std::atomic<net::ConnServer*> g_daemon{nullptr};
 
-extern "C" void serve_signal_handler(int /*signo*/) {
-  if (daemon::Server* server = g_serving.load(std::memory_order_acquire)) {
+extern "C" void daemon_signal_handler(int /*signo*/) {
+  if (net::ConnServer* server = g_daemon.load(std::memory_order_acquire)) {
     server->request_stop();
-  }
-  if (dist::Worker* worker = g_worker.load(std::memory_order_acquire)) {
-    worker->request_stop();
   }
 }
 
 /// Scoped SIGINT/SIGTERM -> request_stop installation around serve().
-class ServeSignalScope {
+class StopSignalScope {
  public:
-  explicit ServeSignalScope(daemon::Server& server) {
-    g_serving.store(&server, std::memory_order_release);
+  explicit StopSignalScope(net::ConnServer& server) {
+    g_daemon.store(&server, std::memory_order_release);
     struct sigaction action {};
-    action.sa_handler = &serve_signal_handler;
+    action.sa_handler = &daemon_signal_handler;
     ::sigemptyset(&action.sa_mask);
     ::sigaction(SIGINT, &action, &old_int_);
     ::sigaction(SIGTERM, &action, &old_term_);
   }
-  ~ServeSignalScope() {
+  ~StopSignalScope() {
     ::sigaction(SIGINT, &old_int_, nullptr);
     ::sigaction(SIGTERM, &old_term_, nullptr);
-    g_serving.store(nullptr, std::memory_order_release);
+    g_daemon.store(nullptr, std::memory_order_release);
   }
-  ServeSignalScope(const ServeSignalScope&) = delete;
-  ServeSignalScope& operator=(const ServeSignalScope&) = delete;
+  StopSignalScope(const StopSignalScope&) = delete;
+  StopSignalScope& operator=(const StopSignalScope&) = delete;
 
  private:
   struct sigaction old_int_ {};
   struct sigaction old_term_ {};
 };
 
-/// The worker-side twin of ServeSignalScope.
-class WorkerSignalScope {
- public:
-  explicit WorkerSignalScope(dist::Worker& worker) {
-    g_worker.store(&worker, std::memory_order_release);
-    struct sigaction action {};
-    action.sa_handler = &serve_signal_handler;
-    ::sigemptyset(&action.sa_mask);
-    ::sigaction(SIGINT, &action, &old_int_);
-    ::sigaction(SIGTERM, &action, &old_term_);
-  }
-  ~WorkerSignalScope() {
-    ::sigaction(SIGINT, &old_int_, nullptr);
-    ::sigaction(SIGTERM, &old_term_, nullptr);
-    g_worker.store(nullptr, std::memory_order_release);
-  }
-  WorkerSignalScope(const WorkerSignalScope&) = delete;
-  WorkerSignalScope& operator=(const WorkerSignalScope&) = delete;
-
- private:
-  struct sigaction old_int_ {};
-  struct sigaction old_term_ {};
-};
-
-int run_serve(const ServeCliConfig& config, std::ostream& err) {
-  // All daemon output goes through the structured logger: RFC3339
-  // timestamps, levels, and key=value fields (connection ids come from
-  // the server).  --log-file redirects it; diagnostics the *CLI* emits
-  // before the daemon exists stay plain "error:" lines on err.
-  const obs::LogLevel level = obs::parse_log_level(config.log_level)
-                                  .value_or(obs::LogLevel::kInfo);
-  std::optional<obs::Logger> logger;
+/// A daemon's structured logger: RFC3339 timestamps, levels, and
+/// key=value fields, on `err` or the --log-file.  Diagnostics the CLI
+/// emits before the logger exists stay plain "error:" lines on err;
+/// false after such a line.
+bool open_daemon_logger(const std::string& log_level,
+                        const std::string& log_file, std::ostream& err,
+                        std::optional<obs::Logger>& logger) {
+  const obs::LogLevel level =
+      obs::parse_log_level(log_level).value_or(obs::LogLevel::kInfo);
   try {
-    if (!config.log_file.empty()) {
-      logger.emplace(config.log_file, level);
+    if (!log_file.empty()) {
+      logger.emplace(log_file, level);
     } else {
       logger.emplace(err, level);
     }
   } catch (const std::exception& e) {
     err << "error: " << e.what() << '\n';
+    return false;
+  }
+  return true;
+}
+
+/// Bind `daemon`, log the ready line CI and tests wait for (flushed by
+/// the logger before the loop blocks, with the resolved endpoint, the
+/// real port for TCP port-0 binds), and serve until SIGINT/SIGTERM.
+template <typename Daemon>
+void serve_until_signalled(Daemon& daemon, obs::Logger& logger,
+                           const std::string& name,
+                           const std::vector<obs::LogField>& fields) {
+  daemon.bind();
+  logger.info(name + ": listening on " + net::to_string(daemon.endpoint()),
+              fields);
+  StopSignalScope signals(daemon.connections());
+  daemon.serve();
+}
+
+int run_serve(const ServeCliConfig& config, std::ostream& err) {
+  std::optional<obs::Logger> logger;
+  if (!open_daemon_logger(config.log_level, config.log_file, err, logger)) {
     return kRuntimeError;
   }
 
@@ -704,20 +732,11 @@ int run_serve(const ServeCliConfig& config, std::ostream& err) {
 
   try {
     daemon::Server server(*session, server_config);
-    server.bind();
-    // The ready line CI and tests wait for — logged (and flushed by the
-    // logger) before the loop blocks, carrying the resolved endpoint
-    // (real port for TCP port-0 binds).
-    logger->info("scoris serve: listening on " +
-                     net::to_string(server.endpoint()),
-                 {obs::kv("max_clients",
-                          static_cast<unsigned long long>(
-                              config.max_clients)),
-                  obs::kv("threads", config.search.threads)});
-    {
-      ServeSignalScope signals(server);
-      server.serve();
-    }
+    serve_until_signalled(
+        server, *logger, "scoris serve",
+        {obs::kv("max_clients",
+                 static_cast<unsigned long long>(config.max_clients)),
+         obs::kv("threads", config.search.threads)});
     const daemon::ServerCounters counters = server.counters();
     logger->info("scoris serve: shut down after " +
                      std::to_string(counters.served) + " queries",
@@ -829,19 +848,8 @@ int run_query(const QueryCliConfig& config, std::ostream& out,
 }
 
 int run_worker(const WorkerCliConfig& config, std::ostream& err) {
-  // Same logging discipline as serve: structured logger for everything
-  // the daemon says, plain "error:" lines only before it exists.
-  const obs::LogLevel level = obs::parse_log_level(config.log_level)
-                                  .value_or(obs::LogLevel::kInfo);
   std::optional<obs::Logger> logger;
-  try {
-    if (!config.log_file.empty()) {
-      logger.emplace(config.log_file, level);
-    } else {
-      logger.emplace(err, level);
-    }
-  } catch (const std::exception& e) {
-    err << "error: " << e.what() << '\n';
+  if (!open_daemon_logger(config.log_level, config.log_file, err, logger)) {
     return kRuntimeError;
   }
 
@@ -854,18 +862,10 @@ int run_worker(const WorkerCliConfig& config, std::ostream& err) {
 
   try {
     dist::Worker worker(worker_config);
-    worker.bind();
-    // The ready line coordinators, CI, and tests wait for — flushed
-    // before the accept loop blocks, with the resolved endpoint.
-    logger->info("scoris worker: listening on " +
-                     net::to_string(worker.endpoint()),
-                 {obs::kv("max_jobs", static_cast<unsigned long long>(
-                                          config.max_jobs)),
-                  obs::kv("threads", config.threads)});
-    {
-      WorkerSignalScope signals(worker);
-      worker.serve();
-    }
+    serve_until_signalled(
+        worker, *logger, "scoris worker",
+        {obs::kv("max_jobs", static_cast<unsigned long long>(config.max_jobs)),
+         obs::kv("threads", config.threads)});
     const dist::WorkerCounters counters = worker.counters();
     logger->info("scoris worker: shut down after " +
                      std::to_string(counters.groups) + " groups",
@@ -1173,11 +1173,7 @@ bool parse_search_cli(int argc, const char* const* argv, CliConfig& config,
   config.help = args.get_flag("help");
   if (config.help) return true;
 
-  if (!args.positional().empty()) {
-    err << "error: search takes no positional arguments, got '"
-        << args.positional()[0] << "'\n";
-    return false;
-  }
+  if (!reject_positionals(args, "search", err)) return false;
   config.index_path = args.get("index");
   config.bank2_path = args.get("bank2");
   if (config.index_path.empty() || config.bank2_path.empty()) {
@@ -1246,23 +1242,14 @@ bool parse_serve_cli(int argc, const char* const* argv,
   config.help = args.get_flag("help");
   if (config.help) return true;
 
-  if (!args.positional().empty()) {
-    err << "error: serve takes no positional arguments, got '"
-        << args.positional()[0] << "'\n";
-    return false;
-  }
+  if (!reject_positionals(args, "serve", err)) return false;
   config.search.index_path = args.get("index");
   const std::string listen = args.get("listen");
   if (config.search.index_path.empty() || listen.empty()) {
     err << "error: both --index and --listen are required\n";
     return false;
   }
-  try {
-    config.endpoint = net::parse_endpoint(listen);
-  } catch (const net::NetError& e) {
-    err << "error: " << e.what() << '\n';
-    return false;
-  }
+  if (!parse_endpoint_flag(listen, config.endpoint, err)) return false;
   std::size_t max_clients = config.max_clients;
   if (!parse_size_flag(args, "max-clients", 1, 1 << 10, max_clients, err)) {
     return false;
@@ -1271,17 +1258,8 @@ bool parse_serve_cli(int argc, const char* const* argv,
   if (!parse_int_flag(args, "backlog", 1, 1 << 12, config.backlog, err)) {
     return false;
   }
-  const std::string log_level = args.get("log-level");
-  if (!log_level.empty()) {
-    if (!obs::parse_log_level(log_level)) {
-      err << "error: --log-level must be error, warn, info, or debug (got '"
-          << log_level << "')\n";
-      return false;
-    }
-    config.log_level = log_level;
-  }
-  config.log_file = args.get("log-file");
-  return parse_search_options(args, config.search, err);
+  return parse_log_flags(args, config.log_level, config.log_file, err) &&
+         parse_search_options(args, config.search, err);
 }
 
 bool parse_query_cli(int argc, const char* const* argv,
@@ -1296,23 +1274,14 @@ bool parse_query_cli(int argc, const char* const* argv,
   config.help = args.get_flag("help");
   if (config.help) return true;
 
-  if (!args.positional().empty()) {
-    err << "error: query takes no positional arguments, got '"
-        << args.positional()[0] << "'\n";
-    return false;
-  }
+  if (!reject_positionals(args, "query", err)) return false;
   const std::string connect = args.get("connect");
   config.bank2_path = args.get("bank2");
   if (connect.empty() || config.bank2_path.empty()) {
     err << "error: both --connect and --bank2 are required\n";
     return false;
   }
-  try {
-    config.endpoint = net::parse_endpoint(connect);
-  } catch (const net::NetError& e) {
-    err << "error: " << e.what() << '\n';
-    return false;
-  }
+  if (!parse_endpoint_flag(connect, config.endpoint, err)) return false;
   config.out_path = args.get("out");
   config.strand = args.get("strand");
   if (!config.strand.empty() && config.strand != "plus" &&
@@ -1342,22 +1311,13 @@ bool parse_worker_cli(int argc, const char* const* argv,
   config.help = args.get_flag("help");
   if (config.help) return true;
 
-  if (!args.positional().empty()) {
-    err << "error: worker takes no positional arguments, got '"
-        << args.positional()[0] << "'\n";
-    return false;
-  }
+  if (!reject_positionals(args, "worker", err)) return false;
   const std::string listen = args.get("listen");
   if (listen.empty()) {
     err << "error: --listen is required\n";
     return false;
   }
-  try {
-    config.endpoint = net::parse_endpoint(listen);
-  } catch (const net::NetError& e) {
-    err << "error: " << e.what() << '\n';
-    return false;
-  }
+  if (!parse_endpoint_flag(listen, config.endpoint, err)) return false;
   if (!parse_int_flag(args, "threads", 1, 1 << 10, config.threads, err)) {
     return false;
   }
@@ -1369,17 +1329,7 @@ bool parse_worker_cli(int argc, const char* const* argv,
     return false;
   }
   config.max_jobs = max_jobs;
-  const std::string log_level = args.get("log-level");
-  if (!log_level.empty()) {
-    if (!obs::parse_log_level(log_level)) {
-      err << "error: --log-level must be error, warn, info, or debug (got '"
-          << log_level << "')\n";
-      return false;
-    }
-    config.log_level = log_level;
-  }
-  config.log_file = args.get("log-file");
-  return true;
+  return parse_log_flags(args, config.log_level, config.log_file, err);
 }
 
 bool parse_stats_cli(int argc, const char* const* argv,
@@ -1392,23 +1342,33 @@ bool parse_stats_cli(int argc, const char* const* argv,
   config.help = args.get_flag("help");
   if (config.help) return true;
 
-  if (!args.positional().empty()) {
-    err << "error: stats takes no positional arguments, got '"
-        << args.positional()[0] << "'\n";
-    return false;
-  }
+  if (!reject_positionals(args, "stats", err)) return false;
   const std::string connect = args.get("connect");
   if (connect.empty()) {
     err << "error: --connect is required\n";
     return false;
   }
-  try {
-    config.endpoint = net::parse_endpoint(connect);
-  } catch (const net::NetError& e) {
-    err << "error: " << e.what() << '\n';
-    return false;
-  }
+  if (!parse_endpoint_flag(connect, config.endpoint, err)) return false;
   return true;
+}
+
+/// One subcommand (argv[1]): parse the rest of argv, print its usage on
+/// a usage error or --help, else run it.
+template <typename Config, typename Run>
+int dispatch(int argc, const char* const* argv, const std::string& program,
+             std::ostream& out, std::ostream& err,
+             bool (*parse)(int, const char* const*, Config&, std::ostream&),
+             void (*usage)(std::ostream&, const std::string&), Run&& run) {
+  Config config;
+  if (!parse(argc - 1, argv + 1, config, err)) {
+    usage(err, program);
+    return kUsage;
+  }
+  if (config.help) {
+    usage(out, program);
+    return kOk;
+  }
+  return run(config);
 }
 
 int run(int argc, const char* const* argv, std::ostream& out,
@@ -1421,81 +1381,38 @@ int run(int argc, const char* const* argv, std::ostream& out,
   const std::string subcommand = argc > 1 ? argv[1] : "";
 
   if (subcommand == "index") {
-    IndexCliConfig config;
-    if (!parse_index_cli(argc - 1, argv + 1, config, err)) {
-      print_index_usage(err, program);
-      return kUsage;
-    }
-    if (config.help) {
-      print_index_usage(out, program);
-      return kOk;
-    }
-    return run_index(config, err);
+    return dispatch<IndexCliConfig>(
+        argc, argv, program, out, err, parse_index_cli, print_index_usage,
+        [&](const IndexCliConfig& config) { return run_index(config, err); });
   }
-
   if (subcommand == "search") {
-    CliConfig config;
-    if (!parse_search_cli(argc - 1, argv + 1, config, err)) {
-      print_search_usage(err, program);
-      return kUsage;
-    }
-    if (config.help) {
-      print_search_usage(out, program);
-      return kOk;
-    }
-    return run_search(config, out, err);
+    return dispatch<CliConfig>(
+        argc, argv, program, out, err, parse_search_cli, print_search_usage,
+        [&](const CliConfig& config) { return run_search(config, out, err); });
   }
-
   if (subcommand == "serve") {
-    ServeCliConfig config;
-    if (!parse_serve_cli(argc - 1, argv + 1, config, err)) {
-      print_serve_usage(err, program);
-      return kUsage;
-    }
-    if (config.help) {
-      print_serve_usage(out, program);
-      return kOk;
-    }
-    return run_serve(config, err);
+    return dispatch<ServeCliConfig>(
+        argc, argv, program, out, err, parse_serve_cli, print_serve_usage,
+        [&](const ServeCliConfig& config) { return run_serve(config, err); });
   }
-
   if (subcommand == "query") {
-    QueryCliConfig config;
-    if (!parse_query_cli(argc - 1, argv + 1, config, err)) {
-      print_query_usage(err, program);
-      return kUsage;
-    }
-    if (config.help) {
-      print_query_usage(out, program);
-      return kOk;
-    }
-    return run_query(config, out, err);
+    return dispatch<QueryCliConfig>(
+        argc, argv, program, out, err, parse_query_cli, print_query_usage,
+        [&](const QueryCliConfig& config) {
+          return run_query(config, out, err);
+        });
   }
-
   if (subcommand == "worker") {
-    WorkerCliConfig config;
-    if (!parse_worker_cli(argc - 1, argv + 1, config, err)) {
-      print_worker_usage(err, program);
-      return kUsage;
-    }
-    if (config.help) {
-      print_worker_usage(out, program);
-      return kOk;
-    }
-    return run_worker(config, err);
+    return dispatch<WorkerCliConfig>(
+        argc, argv, program, out, err, parse_worker_cli, print_worker_usage,
+        [&](const WorkerCliConfig& config) { return run_worker(config, err); });
   }
-
   if (subcommand == "stats") {
-    StatsCliConfig config;
-    if (!parse_stats_cli(argc - 1, argv + 1, config, err)) {
-      print_stats_usage(err, program);
-      return kUsage;
-    }
-    if (config.help) {
-      print_stats_usage(out, program);
-      return kOk;
-    }
-    return run_stats(config, out, err);
+    return dispatch<StatsCliConfig>(
+        argc, argv, program, out, err, parse_stats_cli, print_stats_usage,
+        [&](const StatsCliConfig& config) {
+          return run_stats(config, out, err);
+        });
   }
 
   CliConfig config;

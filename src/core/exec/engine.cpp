@@ -396,4 +396,11 @@ ExecResult execute(const ExecRequest& request) {
   return result;
 }
 
+ExecResult execute_group(ExecRequest request, SliceRange slice, bool minus) {
+  request.slices = {slice};
+  request.options.strand = minus ? seqio::Strand::kMinus : seqio::Strand::kPlus;
+  request.ordering = HitOrdering::kGlobal;  // single group: streamed
+  return execute(request);
+}
+
 }  // namespace scoris::core::exec

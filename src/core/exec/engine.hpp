@@ -90,4 +90,10 @@ ExecSummary execute(const ExecRequest& request, HitSink& sink);
 /// vector; the legacy Pipeline::run* entry points are shims over this.
 [[nodiscard]] ExecResult execute(const ExecRequest& request);
 
+/// One plan group of `request`: bank2 slice `slice` on one strand, in
+/// canonical order.  The unit a distributed search executes on a worker
+/// or on the coordinator.
+[[nodiscard]] ExecResult execute_group(ExecRequest request, SliceRange slice,
+                                       bool minus);
+
 }  // namespace scoris::core::exec

@@ -1,9 +1,7 @@
 #include "daemon/server.hpp"
 
 #include <exception>
-#include <filesystem>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -93,47 +91,12 @@ void SocketM8Sink::flush() {
 struct Server::Shared {
   const Session* session = nullptr;
   ServerConfig config;
-  net::WakePipe wake;
-  std::atomic<bool> stopping{false};
-  std::atomic<std::size_t> active{0};
-  std::atomic<std::uint64_t> next_conn_id{1};
 
-  /// nullptr-safe logger access — `log().info(...)` works whether or
-  /// not the embedder provided one.
-  [[nodiscard]] obs::Logger& log() {
-    static obs::Logger silent(null_stream(), obs::LogLevel::kError);
-    return config.logger != nullptr ? *config.logger : silent;
-  }
-
-  static std::ostream& null_stream() {
-    // An ostream with no streambuf sets badbit and discards all writes.
-    static std::ostream* s = new std::ostream(nullptr);
-    return *s;
-  }
-
-  // Drain coordination and counters.  `active` is decremented under the
-  // mutex so the drain wait cannot miss the final notify.
   util::Mutex mu;
-  util::CondVar cv;
   ServerCounters counters SCORIS_GUARDED_BY(mu);
 
-  bool admit() {
-    std::size_t current = active.load(std::memory_order_relaxed);
-    while (current < config.max_clients) {
-      if (active.compare_exchange_weak(current, current + 1,
-                                       std::memory_order_acq_rel)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void release() {
-    {
-      util::MutexLock lock(mu);
-      active.fetch_sub(1, std::memory_order_acq_rel);
-    }
-    cv.notify_all();
+  [[nodiscard]] obs::Logger& log() {
+    return obs::logger_or_silent(config.logger);
   }
 
   void count(std::uint64_t ServerCounters::* field) {
@@ -143,33 +106,10 @@ struct Server::Shared {
 };
 
 Server::Server(const Session& session, ServerConfig config)
-    : shared_(std::make_shared<Shared>()) {
+    : shared_(std::make_shared<Shared>()),
+      conns_(config.endpoint, config.backlog, config.max_clients) {
   shared_->session = &session;
   shared_->config = std::move(config);
-  net::ignore_sigpipe();
-}
-
-Server::~Server() {
-  // Detached stragglers own shared_ and exit on the wake signal; nothing
-  // here blocks on them.
-  shared_->stopping.store(true, std::memory_order_release);
-  shared_->wake.signal_stop();
-  if (bound_ &&
-      shared_->config.endpoint.kind == net::Endpoint::Kind::kUnix) {
-    std::error_code ec;
-    std::filesystem::remove(shared_->config.endpoint.path, ec);
-  }
-}
-
-void Server::bind() {
-  if (bound_) return;
-  listener_ =
-      net::listen_endpoint(shared_->config.endpoint, shared_->config.backlog);
-  bound_ = true;
-}
-
-const net::Endpoint& Server::endpoint() const {
-  return shared_->config.endpoint;
 }
 
 ServerCounters Server::counters() const {
@@ -177,119 +117,75 @@ ServerCounters Server::counters() const {
   return shared_->counters;
 }
 
-void Server::request_stop() {
-  // No locks, no allocation: stores + one write(2).  Callable from a
-  // signal handler.
-  shared_->stopping.store(true, std::memory_order_release);
-  shared_->wake.signal_stop();
-}
-
 void Server::serve() {
-  bind();
-  Shared& shared = *shared_;
-  while (!shared.stopping.load(std::memory_order_acquire)) {
-    const int ready = net::wait_readable(listener_.fd(),
-                                         shared.wake.read_fd(), -1);
-    if ((ready & 2) != 0) break;  // wake pipe: shutdown requested
-    if ((ready & 1) == 0) continue;
-    net::Socket client = net::accept_connection(listener_);
-    if (!client.valid()) continue;
-    if (!shared.admit()) {
-      shared.count(&ServerCounters::rejected);
-      DaemonMetrics::get().busy_refusals.inc();
-      shared.log().warn("connection refused",
-                        {obs::kv("reason", "max clients"),
-                         obs::kv("max_clients",
-                                 static_cast<unsigned long long>(
-                                     shared.config.max_clients))});
-      try {
-        net::PayloadWriter busy;
-        busy.put_string("all " +
-                        std::to_string(shared.config.max_clients) +
-                        " client slots are in use, try again later");
-        const std::vector<std::uint8_t> payload = busy.take();
-        net::write_frame(client, net::kBusyTag, payload);
-      } catch (const net::NetError&) {
-        // The refused client vanished first; nothing to tell it.
-      }
-      continue;
-    }
-    shared.count(&ServerCounters::accepted);
-    DaemonMetrics::get().connections_accepted.inc();
-    DaemonMetrics::get().active_connections.add(1);
-    const std::uint64_t conn_id =
-        shared.next_conn_id.fetch_add(1, std::memory_order_relaxed);
-    shared.log().info("connection accepted", {obs::kv("conn", conn_id)});
-    std::thread(&Server::handle_client, shared_, std::move(client), conn_id)
-        .detach();
-  }
-  // Stop accepting, then drain: in-flight queries finish and stream
-  // their DONE; idle handlers see the (never-drained) wake byte and
-  // exit.
-  listener_.close();
-  util::MutexLock lock(shared.mu);
-  while (shared.active.load(std::memory_order_acquire) != 0) {
-    shared.cv.wait(shared.mu);
-  }
+  conns_.serve(
+      [shared = shared_](net::ConnServer::Conn& conn) {
+        handle_client(*shared, conn);
+      },
+      [shared = shared_](net::Socket& client) {
+        shared->count(&ServerCounters::rejected);
+        DaemonMetrics::get().busy_refusals.inc();
+        shared->log().warn("connection refused",
+                           {obs::kv("reason", "max clients"),
+                            obs::kv("max_clients",
+                                    static_cast<unsigned long long>(
+                                        shared->config.max_clients))});
+        try {
+          net::PayloadWriter busy;
+          busy.put_string("all " +
+                          std::to_string(shared->config.max_clients) +
+                          " client slots are in use, try again later");
+          const std::vector<std::uint8_t> payload = busy.take();
+          net::write_frame(client, net::kBusyTag, payload);
+        } catch (const net::NetError&) {
+          // The refused client vanished first; nothing to tell it.
+        }
+      });
 }
 
-void Server::handle_client(std::shared_ptr<Shared> shared,
-                           net::Socket client, std::uint64_t conn_id) {
-  // The admission slot is held for the connection's whole lifetime and
-  // released on every exit path, including throws.
-  struct SlotGuard {
-    Shared& shared;
-    std::uint64_t conn_id;
-    ~SlotGuard() {
-      DaemonMetrics::get().active_connections.sub(1);
-      shared.log().info("connection closed", {obs::kv("conn", conn_id)});
-      shared.release();
-    }
-  } guard{*shared, conn_id};
-
+void Server::handle_client(Shared& shared, net::ConnServer::Conn& conn) {
+  const std::uint64_t conn_id = conn.id();
+  shared.count(&ServerCounters::accepted);
+  DaemonMetrics::get().connections_accepted.inc();
+  DaemonMetrics::get().active_connections.add(1);
+  shared.log().info("connection accepted", {obs::kv("conn", conn_id)});
+  net::Socket& client = conn.socket();
   try {
     net::PayloadWriter hello;
     hello.put_u32(net::kProtocolVersion);
-    hello.put_u64(shared->config.max_query_bytes);
+    hello.put_u64(shared.config.max_query_bytes);
     const std::vector<std::uint8_t> payload = hello.take();
     net::write_frame(client, net::kHelloTag, payload);
 
     net::Frame frame;
-    for (;;) {
-      // Between queries the handler parks on poll so an idle connection
-      // costs no CPU and shutdown does not have to wait for it.
-      const int ready = net::wait_readable(client.fd(),
-                                           shared->wake.read_fd(), -1);
-      if ((ready & 2) != 0 &&
-          shared->stopping.load(std::memory_order_acquire)) {
-        return;  // idle at shutdown: close without ceremony
-      }
-      if ((ready & 1) == 0) continue;
-      if (!net::read_frame(client, frame)) return;  // client hung up
+    // A false return is a hang-up or a stop: close without ceremony.
+    while (conn.next_frame(frame)) {
       if (frame.tag == net::kStatTag) {
         // Snapshot outside any lock the query path touches; the render
         // only takes the registry's registration mutex.
         const std::string snapshot =
             obs::Registry::global().render_prometheus();
         net::write_frame(client, net::kStatTag, snapshot);
-        shared->log().debug("stats snapshot served",
-                            {obs::kv("conn", conn_id),
-                             obs::kv("bytes", snapshot.size())});
+        shared.log().debug("stats snapshot served",
+                           {obs::kv("conn", conn_id),
+                            obs::kv("bytes", snapshot.size())});
         continue;
       }
       if (frame.tag != net::kQueryTag) {
         throw net::NetError("expected QRY or STAT, got '" +
                             net::tag_name(frame.tag) + "'");
       }
-      serve_query(*shared, client, frame, conn_id);
+      serve_query(shared, client, frame, conn_id);
     }
   } catch (const std::exception& e) {
     // Transport died or the client broke protocol: this connection is
     // over, every other client is untouched.
-    shared->count(&ServerCounters::failed);
-    shared->log().warn("connection failed", {obs::kv("conn", conn_id),
-                                             obs::kv("error", e.what())});
+    shared.count(&ServerCounters::failed);
+    shared.log().warn("connection failed", {obs::kv("conn", conn_id),
+                                            obs::kv("error", e.what())});
   }
+  DaemonMetrics::get().active_connections.sub(1);
+  shared.log().info("connection closed", {obs::kv("conn", conn_id)});
 }
 
 void Server::serve_query(Shared& shared, net::Socket& client,

@@ -7,24 +7,13 @@
 // every client query rides Session::search's documented thread-safety —
 // the daemon adds only transport, admission, and lifecycle.
 //
-// Architecture:
-//
-//   * serve() is the blocking accept loop.  Each accepted connection is
-//     admitted (CAS on an active-client counter) or refused with a BUSY
-//     frame; admitted clients get a detached handler thread.
-//   * Handler threads hold a shared_ptr to the server's internal state,
-//     so a Server that is destroyed while stragglers run cannot leave
-//     them with dangling pointers (serve() drains before returning, but
-//     the ownership makes that a liveness property, not a memory-safety
-//     one).
-//   * Every blocking read (accept loop, idle client connections) also
-//     polls a WakePipe.  request_stop() writes one byte to it — nothing
-//     else — so it is async-signal-safe and callable straight from a
-//     SIGINT/SIGTERM handler.  The byte is never drained: the wake is
-//     level-triggered and reaches every poller.
-//   * Shutdown drains: in-flight queries run to completion and stream
-//     their DONE; only *idle* connections are closed.  serve() returns
-//     once the last handler exits.
+// The connection lifecycle (bind, accept loop, admission, per-connection
+// threads, async-signal-safe stop, drain) is net::ConnServer's, shared
+// with `scoris worker`.  This file holds the query conversation only:
+// HELO, then any number of QRY/STAT frames, each QRY answered by ROWS
+// frames and DONE (or ERR).  A connection refused at `max_clients` gets
+// a BUSY frame.  At stop, a query whose QRY frame was received whole runs
+// to DONE; idle connections are closed.
 //
 // Failure containment: a SinkError/NetError inside one query (client
 // hung up mid-stream, send failed) aborts that query alone — the
@@ -34,17 +23,14 @@
 // not leak spill space however clients die.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "api/session.hpp"
+#include "net/conn_server.hpp"
 #include "net/frame.hpp"
-#include "net/socket.hpp"
 #include "obs/log.hpp"
 
 namespace scoris::daemon {
@@ -107,14 +93,13 @@ class Server {
  public:
   /// The session must outlive serve(); the server never copies it.
   Server(const Session& session, ServerConfig config);
-  ~Server();
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
   /// Bind + listen now (throws NetError on failure), so callers know the
   /// endpoint is live — and, for TCP port 0, what port it resolved to —
   /// before serve() blocks.
-  void bind();
+  void bind() { conns_.bind(); }
 
   /// Accept loop.  Blocks until request_stop(), then drains in-flight
   /// queries and returns.  Calls bind() if it has not happened yet.
@@ -122,25 +107,28 @@ class Server {
 
   /// Async-signal-safe: one write(2) on the wake pipe.  Safe from any
   /// thread and from SIGINT/SIGTERM handlers; idempotent.
-  void request_stop();
+  void request_stop() { conns_.request_stop(); }
 
   /// The resolved listen endpoint (real port for TCP port-0 binds).
   /// Valid after bind().
-  [[nodiscard]] const net::Endpoint& endpoint() const;
+  [[nodiscard]] const net::Endpoint& endpoint() const {
+    return conns_.endpoint();
+  }
 
   [[nodiscard]] ServerCounters counters() const;
+
+  /// The underlying connection server (for signal-driven stops).
+  [[nodiscard]] net::ConnServer& connections() { return conns_; }
 
  private:
   struct Shared;
 
-  static void handle_client(std::shared_ptr<Shared> shared,
-                            net::Socket client, std::uint64_t conn_id);
+  static void handle_client(Shared& shared, net::ConnServer::Conn& conn);
   static void serve_query(Shared& shared, net::Socket& client,
                           const net::Frame& request, std::uint64_t conn_id);
 
   std::shared_ptr<Shared> shared_;
-  net::Socket listener_;
-  bool bound_ = false;
+  net::ConnServer conns_;
 };
 
 }  // namespace scoris::daemon

@@ -8,7 +8,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/chunked.hpp"
 #include "core/exec/engine.hpp"
 #include "core/exec/run_merge.hpp"
 #include "dist/protocol.hpp"
@@ -16,7 +15,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "seqio/serialize.hpp"
-#include "stats/karlin.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/timer.hpp"
 
@@ -58,13 +56,6 @@ struct DistMetrics {
     return *m;
   }
 };
-
-obs::Logger& silent_logger() {
-  static std::ostream* null_out = new std::ostream(nullptr);
-  static obs::Logger* logger = new obs::Logger(*null_out,
-                                               obs::LogLevel::kError);
-  return *logger;
-}
 
 /// Work-queue + completion state shared by the executor threads.  A
 /// task is either pending (in `pending`), in flight (popped, not yet
@@ -147,10 +138,6 @@ struct TaskQueue {
 
 /// The serialized WJOB payload plus everything an executor needs.
 struct DistShared {
-  const Session* session = nullptr;
-  const seqio::SequenceBank* bank2 = nullptr;
-  core::Options options;          // limits applied, validated
-  stats::KarlinParams karlin;
   std::vector<std::uint8_t> job_payload;
   DistConfig config;
   obs::TraceRecorder* trace = nullptr;
@@ -159,7 +146,7 @@ struct DistShared {
   core::exec::RunMerger* merger SCORIS_PT_GUARDED_BY(merge_mu) = nullptr;
 
   [[nodiscard]] obs::Logger& log() const {
-    return config.logger != nullptr ? *config.logger : silent_logger();
+    return obs::logger_or_silent(config.logger);
   }
 };
 
@@ -338,43 +325,29 @@ SearchOutcome run_distributed(const Session& session,
 
   util::WallTimer total;
   DistShared shared;
-  shared.session = &session;
-  shared.bank2 = &bank2;
   shared.config = config;
   shared.trace = limits.trace;
-
-  shared.options = session.options();
-  if (limits.strand) shared.options.strand = *limits.strand;
-  if (limits.delivery_budget_bytes > 0) {
-    shared.options.delivery_budget_bytes = limits.delivery_budget_bytes;
-  }
-  if (!limits.tmp_dir.empty()) shared.options.tmp_dir = limits.tmp_dir;
-  shared.options.validate_or_throw();
-  shared.karlin = stats::karlin_match_mismatch(
-      shared.options.scoring.match, shared.options.scoring.mismatch);
 
   // Slice bank2 exactly as Session::search would, with one extra lower
   // bound: enough slices that every executor has groups to pull.
   // Slicing is output-invariant, so this changes balance, not bytes.
-  core::ChunkedOptions copt;
-  copt.pipeline = shared.options;
-  copt.memory_budget_bytes = limits.memory_budget_bytes > 0
-                                 ? limits.memory_budget_bytes
-                                 : ~std::size_t{0};
-  copt.min_chunks = std::max(
+  SearchLimits sliced = limits;
+  sliced.min_chunks = std::max(
       limits.min_chunks, config.dist_slices > 0
                              ? config.dist_slices
                              : 2 * (config.workers.size() + 1));
-  const std::size_t bank1_bytes =
-      session.reference_index().memory_bytes() +
-      session.reference().data_size() * sizeof(seqio::Code);
+  core::exec::ExecRequest plan = session.plan(bank2, sliced);
+  // A local group is traced by its enclosing "local group" span only.
+  plan.trace = nullptr;
   const std::vector<core::exec::SliceRange> slices =
-      core::plan_budget_slices(bank1_bytes, bank2, copt);
+      plan.slices.empty()
+          ? std::vector<core::exec::SliceRange>{{0, bank2.size()}}
+          : plan.slices;
 
   // Group list in compile_plan order (slice-major, plus before minus):
   // a task's position IS the merge tie-break key.
-  const bool plus = shared.options.strand != seqio::Strand::kMinus;
-  const bool minus = shared.options.strand != seqio::Strand::kPlus;
+  const bool plus = plan.options.strand != seqio::Strand::kMinus;
+  const bool minus = plan.options.strand != seqio::Strand::kPlus;
   std::vector<GroupTask> groups;
   for (const core::exec::SliceRange& slice : slices) {
     for (const bool is_minus : {false, true}) {
@@ -407,13 +380,13 @@ SearchOutcome run_distributed(const Session& session,
     std::ostringstream b2;
     seqio::save_bank(b2, bank2);
     job.put_string(b2.str());
-    write_options(job, shared.options);
+    write_options(job, plan.options);
     shared.job_payload = job.take();
   }
 
   core::exec::RunMergeConfig mcfg;
-  mcfg.budget_bytes = shared.options.delivery_budget_bytes;
-  mcfg.tmp_dir = shared.options.tmp_dir;
+  mcfg.budget_bytes = plan.options.delivery_budget_bytes;
+  mcfg.tmp_dir = plan.options.tmp_dir;
   core::exec::RunMerger merger(std::move(mcfg), groups.size());
   shared.merger = &merger;
   shared.queue.init({groups.begin(), groups.end()});
@@ -439,19 +412,11 @@ SearchOutcome run_distributed(const Session& session,
     try {
       obs::Span span(shared.trace,
                      "local group " + std::to_string(task.id), "local");
-      core::exec::ExecRequest request;
-      request.bank1 = &session.reference();
-      request.prebuilt1 = &session.reference_index();
-      request.bank2 = &bank2;
-      request.slices = {core::exec::SliceRange{
-          static_cast<std::size_t>(task.slice_from),
-          static_cast<std::size_t>(task.slice_to)}};
-      request.options = shared.options;
-      request.options.strand =
-          task.minus ? seqio::Strand::kMinus : seqio::Strand::kPlus;
-      request.karlin = shared.karlin;
-      request.ordering = HitOrdering::kGlobal;  // single group: streamed
-      core::exec::ExecResult result = core::exec::execute(request);
+      core::exec::ExecResult result = core::exec::execute_group(
+          plan,
+          {static_cast<std::size_t>(task.slice_from),
+           static_cast<std::size_t>(task.slice_to)},
+          task.minus);
       local_stats.index_seconds += result.stats.index_seconds;
       local_stats.hsp_seconds += result.stats.hsp_seconds;
       local_stats.gapped_seconds += result.stats.gapped_seconds;

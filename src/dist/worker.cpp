@@ -1,25 +1,21 @@
 #include "dist/worker.hpp"
 
-#include <atomic>
 #include <exception>
-#include <filesystem>
+#include <optional>
 #include <ostream>
 #include <sstream>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "api/session.hpp"
 #include "core/exec/engine.hpp"
 #include "core/exec/run_merge.hpp"
 #include "dist/protocol.hpp"
-#include "filter/dust.hpp"
 #include "net/frame.hpp"
 #include "obs/metrics.hpp"
 #include "seqio/serialize.hpp"
-#include "stats/karlin.hpp"
 #include "store/index_store.hpp"
 #include "util/thread_annotations.hpp"
-#include "util/threading.hpp"
 #include "util/timer.hpp"
 
 namespace scoris::dist {
@@ -64,57 +60,20 @@ struct WorkerMetrics {
 
 /// Everything one WJOB setup prepares; lives for the connection.
 struct Job {
-  std::unique_ptr<seqio::SequenceBank> owned_bank1;  // inline references
-  std::unique_ptr<index::BankIndex> owned_index;
-  std::unique_ptr<store::IndexStore> store;          // path references
-  const seqio::SequenceBank* bank1 = nullptr;
-  const index::BankIndex* idx1 = nullptr;
+  Session session;
   seqio::SequenceBank bank2;
-  core::Options options;
-  stats::KarlinParams karlin;
-  std::unique_ptr<util::ThreadPool> pool;
 };
 
 }  // namespace
 
 struct Worker::Shared {
   WorkerConfig config;
-  net::WakePipe wake;
-  std::atomic<bool> stopping{false};
-  std::atomic<std::size_t> active{0};
-  std::atomic<std::uint64_t> next_conn_id{1};
-
-  [[nodiscard]] obs::Logger& log() {
-    static obs::Logger silent(null_stream(), obs::LogLevel::kError);
-    return config.logger != nullptr ? *config.logger : silent;
-  }
-
-  static std::ostream& null_stream() {
-    static std::ostream* s = new std::ostream(nullptr);
-    return *s;
-  }
 
   util::Mutex mu;
-  util::CondVar cv;
   WorkerCounters counters SCORIS_GUARDED_BY(mu);
 
-  bool admit() {
-    std::size_t current = active.load(std::memory_order_relaxed);
-    while (current < config.max_jobs) {
-      if (active.compare_exchange_weak(current, current + 1,
-                                       std::memory_order_acq_rel)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void release() {
-    {
-      util::MutexLock lock(mu);
-      active.fetch_sub(1, std::memory_order_acq_rel);
-    }
-    cv.notify_all();
+  [[nodiscard]] obs::Logger& log() {
+    return obs::logger_or_silent(config.logger);
   }
 
   void count(std::uint64_t WorkerCounters::* field) {
@@ -123,30 +82,10 @@ struct Worker::Shared {
   }
 };
 
-Worker::Worker(WorkerConfig config) : shared_(std::make_shared<Shared>()) {
+Worker::Worker(WorkerConfig config)
+    : shared_(std::make_shared<Shared>()),
+      conns_(config.endpoint, config.backlog, config.max_jobs) {
   shared_->config = std::move(config);
-  net::ignore_sigpipe();
-}
-
-Worker::~Worker() {
-  shared_->stopping.store(true, std::memory_order_release);
-  shared_->wake.signal_stop();
-  if (bound_ &&
-      shared_->config.endpoint.kind == net::Endpoint::Kind::kUnix) {
-    std::error_code ec;
-    std::filesystem::remove(shared_->config.endpoint.path, ec);
-  }
-}
-
-void Worker::bind() {
-  if (bound_) return;
-  listener_ =
-      net::listen_endpoint(shared_->config.endpoint, shared_->config.backlog);
-  bound_ = true;
-}
-
-const net::Endpoint& Worker::endpoint() const {
-  return shared_->config.endpoint;
 }
 
 WorkerCounters Worker::counters() const {
@@ -154,44 +93,20 @@ WorkerCounters Worker::counters() const {
   return shared_->counters;
 }
 
-void Worker::request_stop() {
-  shared_->stopping.store(true, std::memory_order_release);
-  shared_->wake.signal_stop();
-}
-
 void Worker::serve() {
-  bind();
-  Shared& shared = *shared_;
-  while (!shared.stopping.load(std::memory_order_acquire)) {
-    const int ready =
-        net::wait_readable(listener_.fd(), shared.wake.read_fd(), -1);
-    if ((ready & 2) != 0) break;
-    if ((ready & 1) == 0) continue;
-    net::Socket conn = net::accept_connection(listener_);
-    if (!conn.valid()) continue;
-    if (!shared.admit()) {
-      // No BUSY tier here: a refused coordinator sees the close and
-      // treats the worker as dead, which is the correct fallback.
-      shared.log().warn("connection refused",
-                        {obs::kv("reason", "max jobs"),
-                         obs::kv("max_jobs",
-                                 static_cast<unsigned long long>(
-                                     shared.config.max_jobs))});
-      continue;
-    }
-    shared.count(&WorkerCounters::accepted);
-    WorkerMetrics::get().connections_accepted.inc();
-    const std::uint64_t conn_id =
-        shared.next_conn_id.fetch_add(1, std::memory_order_relaxed);
-    shared.log().info("coordinator connected", {obs::kv("conn", conn_id)});
-    std::thread(&Worker::handle_conn, shared_, std::move(conn), conn_id)
-        .detach();
-  }
-  listener_.close();
-  util::MutexLock lock(shared.mu);
-  while (shared.active.load(std::memory_order_acquire) != 0) {
-    shared.cv.wait(shared.mu);
-  }
+  conns_.serve(
+      [shared = shared_](net::ConnServer::Conn& conn) {
+        handle_conn(*shared, conn);
+      },
+      [shared = shared_](net::Socket& /*refused*/) {
+        // No BUSY tier here: a refused coordinator sees the close and
+        // treats the worker as dead, which is the correct fallback.
+        shared->log().warn("connection refused",
+                           {obs::kv("reason", "max jobs"),
+                            obs::kv("max_jobs",
+                                    static_cast<unsigned long long>(
+                                        shared->config.max_jobs))});
+      });
 }
 
 namespace {
@@ -204,58 +119,24 @@ Job prepare_job(const net::Frame& frame, int threads) {
   const std::uint8_t ref_kind = reader.get_u8();
   const std::string ref = reader.get_string();
   const std::string bank2_bytes = reader.get_string();
-
-  Job job;
-  job.options = read_options(reader);
-  job.options.threads = threads;
-  job.options.validate_or_throw();
-  job.karlin = stats::karlin_match_mismatch(job.options.scoring.match,
-                                            job.options.scoring.mismatch);
-  {
-    std::istringstream is(bank2_bytes);
-    job.bank2 = seqio::load_bank(is);
-  }
-
+  Options options = read_options(reader);
+  options.threads = threads;
+  std::istringstream bank2(bank2_bytes);
+  // The same Session preparation as the coordinator's, so the worker's
+  // seed set equals the coordinator's.
   switch (static_cast<RefKind>(ref_kind)) {
     case RefKind::kInlineBank: {
-      std::istringstream is(ref);
-      job.owned_bank1 =
-          std::make_unique<seqio::SequenceBank>(seqio::load_bank(is));
-      // Mirror Session's reference preparation exactly: same coder,
-      // same mask, so the worker's seed set equals the coordinator's.
-      const index::SeedCoder coder(job.options.effective_w());
-      filter::MaskBitmap mask;
-      index::IndexOptions iopt;
-      if (job.options.dust) {
-        mask = filter::dust_mask(*job.owned_bank1, job.options.dust_params);
-        iopt.mask = &mask;
-      }
-      job.owned_index = std::make_unique<index::BankIndex>(*job.owned_bank1,
-                                                           coder, iopt);
-      job.bank1 = job.owned_bank1.get();
-      job.idx1 = job.owned_index.get();
-      break;
+      std::istringstream bank1(ref);
+      Session session(seqio::load_bank(bank1), std::move(options));
+      return Job{std::move(session), seqio::load_bank(bank2)};
     }
     case RefKind::kIndexPath: {
-      job.store = std::make_unique<store::IndexStore>(store::load_index(ref));
-      store::IndexKey key;
-      key.w = job.options.effective_w();
-      key.stride = 1;
-      key.dust = job.options.dust;
-      key.dust_params = job.options.dust_params;
-      job.idx1 = &job.store->require(key);
-      job.bank1 = &job.store->bank();
-      break;
+      Session session(store::load_index(ref), std::move(options));
+      return Job{std::move(session), seqio::load_bank(bank2)};
     }
-    default:
-      throw net::NetError("WJOB: unknown reference kind " +
-                          std::to_string(ref_kind));
   }
-  if (threads > 1) {
-    job.pool =
-        std::make_unique<util::ThreadPool>(static_cast<std::size_t>(threads));
-  }
-  return job;
+  throw net::NetError("WJOB: unknown reference kind " +
+                      std::to_string(ref_kind));
 }
 
 void send_error(net::Socket& conn, const std::string& message) {
@@ -283,20 +164,11 @@ void send_error(net::Socket& conn, const std::string& message) {
           std::to_string(task.slice_to) + ") exceeds the query bank (" +
           std::to_string(job.bank2.size()) + " sequences)");
     }
-    core::exec::ExecRequest request;
-    request.bank1 = job.bank1;
-    request.prebuilt1 = job.idx1;
-    request.bank2 = &job.bank2;
-    request.slices = {core::exec::SliceRange{
-        static_cast<std::size_t>(task.slice_from),
-        static_cast<std::size_t>(task.slice_to)}};
-    request.options = job.options;
-    request.options.strand =
-        task.minus ? seqio::Strand::kMinus : seqio::Strand::kPlus;
-    request.karlin = job.karlin;
-    request.ordering = HitOrdering::kGlobal;  // single group: streamed
-    request.pool = job.pool.get();
-    result = core::exec::execute(request);
+    result = core::exec::execute_group(
+        job.session.plan(job.bank2, {}),
+        {static_cast<std::size_t>(task.slice_from),
+         static_cast<std::size_t>(task.slice_to)},
+        task.minus);
   } catch (const std::exception& e) {
     // The group failed before any WRUN byte went out (execution is
     // collect-then-stream), so WERR leaves the coordinator's view
@@ -341,89 +213,72 @@ void send_error(net::Socket& conn, const std::string& message) {
 
 }  // namespace
 
-void Worker::handle_conn(std::shared_ptr<Shared> shared, net::Socket conn,
-                         std::uint64_t conn_id) {
-  struct SlotGuard {
-    Shared& shared;
-    std::uint64_t conn_id;
-    ~SlotGuard() {
-      shared.log().info("coordinator disconnected",
-                        {obs::kv("conn", conn_id)});
-      shared.release();
-    }
-  } guard{*shared, conn_id};
-
+void Worker::handle_conn(Shared& shared, net::ConnServer::Conn& conn) {
+  const std::uint64_t conn_id = conn.id();
+  shared.count(&WorkerCounters::accepted);
+  WorkerMetrics::get().connections_accepted.inc();
+  shared.log().info("coordinator connected", {obs::kv("conn", conn_id)});
   try {
-    net::PayloadWriter hello;
-    hello.put_u32(kWorkerProtocolVersion);
-    const std::vector<std::uint8_t> hello_payload = hello.take();
-    net::write_frame(conn, kWorkerHelloTag, hello_payload);
-
-    net::Frame frame;
-    // Job setup first: exactly one WJOB opens the conversation.
-    {
-      const int ready =
-          net::wait_readable(conn.fd(), shared->wake.read_fd(), -1);
-      if ((ready & 2) != 0 &&
-          shared->stopping.load(std::memory_order_acquire)) {
-        return;
-      }
-      if (!net::read_frame(conn, frame)) return;  // coordinator hung up
-    }
-    if (frame.tag != kJobTag) {
-      throw net::NetError("expected WJOB, got '" + net::tag_name(frame.tag) +
-                          "'");
-    }
-    Job job;
-    try {
-      job = prepare_job(frame, shared->config.threads);
-    } catch (const std::exception& e) {
-      // Setup failure is connection-fatal by design: a coordinator
-      // cannot dispatch groups to a worker with no reference.
-      shared->count(&WorkerCounters::failed);
-      shared->log().warn("job setup failed", {obs::kv("conn", conn_id),
-                                              obs::kv("error", e.what())});
-      send_error(conn, e.what());
-      return;
-    }
-    shared->count(&WorkerCounters::jobs);
-    WorkerMetrics::get().jobs_prepared.inc();
-    net::write_frame(conn, kJobAckTag, std::string_view{});
-    shared->log().info(
-        "job prepared",
-        {obs::kv("conn", conn_id),
-         obs::kv("reference_seqs", job.bank1->size()),
-         obs::kv("query_seqs", job.bank2.size())});
-
-    for (;;) {
-      // Park on poll between groups so idle connections cost no CPU
-      // and shutdown does not wait on them.
-      const int ready =
-          net::wait_readable(conn.fd(), shared->wake.read_fd(), -1);
-      if ((ready & 2) != 0 &&
-          shared->stopping.load(std::memory_order_acquire)) {
-        return;
-      }
-      if ((ready & 1) == 0) continue;
-      if (!net::read_frame(conn, frame)) return;  // job over
-      if (frame.tag != kGroupTag) {
-        throw net::NetError("expected WGRP, got '" +
-                            net::tag_name(frame.tag) + "'");
-      }
-      net::PayloadReader reader(frame.payload, "WGRP");
-      const GroupTask task = read_group(reader);
-      if (serve_group(shared->log(), conn, job, task, conn_id)) {
-        shared->count(&WorkerCounters::groups);
-      } else {
-        shared->count(&WorkerCounters::failed);
-      }
-    }
+    converse(shared, conn);
   } catch (const std::exception& e) {
     // Transport died or the coordinator broke protocol: this
     // connection is over; the accept loop keeps serving.
-    shared->count(&WorkerCounters::failed);
-    shared->log().warn("connection failed", {obs::kv("conn", conn_id),
-                                             obs::kv("error", e.what())});
+    shared.count(&WorkerCounters::failed);
+    shared.log().warn("connection failed", {obs::kv("conn", conn_id),
+                                            obs::kv("error", e.what())});
+  }
+  shared.log().info("coordinator disconnected", {obs::kv("conn", conn_id)});
+}
+
+void Worker::converse(Shared& shared, net::ConnServer::Conn& conn) {
+  const std::uint64_t conn_id = conn.id();
+  net::Socket& sock = conn.socket();
+  net::PayloadWriter hello;
+  hello.put_u32(kWorkerProtocolVersion);
+  const std::vector<std::uint8_t> hello_payload = hello.take();
+  net::write_frame(sock, kWorkerHelloTag, hello_payload);
+
+  // Job setup first: exactly one WJOB opens the conversation.  A false
+  // next_frame is a hang-up or a stop: close without ceremony.
+  net::Frame frame;
+  if (!conn.next_frame(frame)) return;
+  if (frame.tag != kJobTag) {
+    throw net::NetError("expected WJOB, got '" + net::tag_name(frame.tag) +
+                        "'");
+  }
+  std::optional<Job> job;
+  try {
+    job.emplace(prepare_job(frame, shared.config.threads));
+  } catch (const std::exception& e) {
+    // Setup failure is connection-fatal by design: a coordinator cannot
+    // dispatch groups to a worker with no reference.
+    shared.count(&WorkerCounters::failed);
+    shared.log().warn("job setup failed", {obs::kv("conn", conn_id),
+                                           obs::kv("error", e.what())});
+    send_error(sock, e.what());
+    return;
+  }
+  shared.count(&WorkerCounters::jobs);
+  WorkerMetrics::get().jobs_prepared.inc();
+  net::write_frame(sock, kJobAckTag, std::string_view{});
+  shared.log().info(
+      "job prepared",
+      {obs::kv("conn", conn_id),
+       obs::kv("reference_seqs", job->session.reference().size()),
+       obs::kv("query_seqs", job->bank2.size())});
+
+  while (conn.next_frame(frame)) {
+    if (frame.tag != kGroupTag) {
+      throw net::NetError("expected WGRP, got '" + net::tag_name(frame.tag) +
+                          "'");
+    }
+    net::PayloadReader reader(frame.payload, "WGRP");
+    const GroupTask task = read_group(reader);
+    if (serve_group(shared.log(), sock, *job, task, conn_id)) {
+      shared.count(&WorkerCounters::groups);
+    } else {
+      shared.count(&WorkerCounters::failed);
+    }
   }
 }
 

@@ -8,15 +8,14 @@
 // worker runs each group through the ordinary exec engine and streams
 // the group's sorted step-4 run back as spill-run bytes.
 //
-// The daemon skeleton is daemon::Server's, deliberately: the same
-// WakePipe-driven accept loop, the same detached handler threads
-// holding a shared_ptr to the server state, the same drain-on-shutdown
-// semantics, the same async-signal-safe request_stop().  What differs
-// is the conversation — workers speak the worker protocol, not the
-// query protocol — and the per-connection state: a worker handler holds
-// a whole prepared job (reference bank + index + query bank + options)
-// for the life of its connection, where a scorisd handler holds nothing
-// between queries.
+// The connection lifecycle (bind, accept loop, admission, per-connection
+// threads, async-signal-safe stop, drain) is net::ConnServer's, shared
+// with `scoris serve`.  This file holds the worker conversation only:
+// WHLO, one WJOB, then WGRP requests each answered by WRUN frames and
+// WEND (or WERR).  A connection refused at `max_jobs` is closed without
+// a word.  The WJOB reference becomes a Session, indexed from the inline
+// bank or adopted from the loaded .scix with the job's options, and it
+// lives as long as the connection.
 //
 // Failure containment mirrors the daemon's: an engine error inside one
 // group produces a WERR frame and the connection keeps serving; only a
@@ -30,7 +29,7 @@
 #include <cstdint>
 #include <memory>
 
-#include "net/socket.hpp"
+#include "net/conn_server.hpp"
 #include "obs/log.hpp"
 
 namespace scoris::dist {
@@ -60,35 +59,38 @@ struct WorkerCounters {
 class Worker {
  public:
   explicit Worker(WorkerConfig config);
-  ~Worker();
   Worker(const Worker&) = delete;
   Worker& operator=(const Worker&) = delete;
 
   /// Bind + listen now (throws NetError), resolving TCP port 0 so the
   /// real address is known before serve() blocks.
-  void bind();
+  void bind() { conns_.bind(); }
 
   /// Accept loop.  Blocks until request_stop(), then drains in-flight
   /// groups and returns.  Calls bind() if it has not happened yet.
   void serve();
 
   /// Async-signal-safe stop: one write(2) on the wake pipe.
-  void request_stop();
+  void request_stop() { conns_.request_stop(); }
 
   /// The resolved listen endpoint.  Valid after bind().
-  [[nodiscard]] const net::Endpoint& endpoint() const;
+  [[nodiscard]] const net::Endpoint& endpoint() const {
+    return conns_.endpoint();
+  }
 
   [[nodiscard]] WorkerCounters counters() const;
+
+  /// The underlying connection server (for signal-driven stops).
+  [[nodiscard]] net::ConnServer& connections() { return conns_; }
 
  private:
   struct Shared;
 
-  static void handle_conn(std::shared_ptr<Shared> shared, net::Socket conn,
-                          std::uint64_t conn_id);
+  static void handle_conn(Shared& shared, net::ConnServer::Conn& conn);
+  static void converse(Shared& shared, net::ConnServer::Conn& conn);
 
   std::shared_ptr<Shared> shared_;
-  net::Socket listener_;
-  bool bound_ = false;
+  net::ConnServer conns_;
 };
 
 }  // namespace scoris::dist

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <istream>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <stdexcept>
@@ -109,6 +110,33 @@ BankIndex BankIndex::adopt(const seqio::SequenceBank& bank,
   }
   if (parts.indexed.size() != bank.data_size()) {
     throw std::invalid_argument("BankIndex::adopt: bitmap size mismatch");
+  }
+  // One flat pass over each array, so an occurrence slice can neither
+  // run past the positions nor name a word outside the bank.  Each pass
+  // ORs a flag instead of branching out, which lets it vectorize.
+  const std::span<const std::uint32_t> offsets = parts.occ_offsets;
+  std::uint32_t falls = 0;
+  for (std::size_t code = 0; code + 1 < offsets.size(); ++code) {
+    falls |= offsets[code] > offsets[code + 1];
+  }
+  if (falls != 0) {
+    throw std::invalid_argument(
+        "BankIndex::adopt: occurrence offsets decrease");
+  }
+  // A word starting at p fits iff 0 <= p <= data_size - W.  As unsigned,
+  // a negative p lies past any bound up to INT32_MAX.
+  const std::int64_t last_start =
+      static_cast<std::int64_t>(bank.data_size()) - coder.w();
+  const auto last = static_cast<std::uint32_t>(std::clamp<std::int64_t>(
+      last_start, 0, std::numeric_limits<std::int32_t>::max()));
+  std::uint32_t outside =
+      last_start < 0 && !parts.occ_positions.empty() ? 1 : 0;
+  for (const std::int32_t p : parts.occ_positions) {
+    outside |= static_cast<std::uint32_t>(p) > last;
+  }
+  if (outside != 0) {
+    throw std::invalid_argument(
+        "BankIndex::adopt: occurrence position outside the bank");
   }
   BankIndex idx(bank, coder, /*adopt_tag=*/0);
   idx.owner_ = std::move(parts.owner);

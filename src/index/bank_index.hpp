@@ -54,8 +54,8 @@ struct IndexOptions {
 
 /// Prebuilt index buffers handed to BankIndex::adopt.  The spans may point
 /// into memory owned elsewhere; `owner` keeps that memory alive for the
-/// index's lifetime.  Sizes are validated; contents are trusted (the
-/// store's CRC guards the bytes).
+/// index's lifetime.  Sizes, offset order and position bounds are
+/// validated; the store's CRC guards the rest of the bytes.
 struct AdoptedIndex {
   std::span<const std::uint32_t> occ_offsets;   ///< 4^W + 1 entries
   std::span<const std::int32_t> occ_positions;  ///< total_indexed entries
@@ -74,8 +74,9 @@ class BankIndex {
   BankIndex(const seqio::SequenceBank& bank, const SeedCoder& coder,
             const IndexOptions& options = {});
 
-  /// Wrap prebuilt buffers without re-scanning the bank. Sizes are
-  /// validated against the bank and coder (std::invalid_argument).
+  /// Wrap prebuilt buffers without re-scanning the bank.  Sizes, the
+  /// offsets' order and every position's word bounds are validated
+  /// against the bank and coder (std::invalid_argument).
   [[nodiscard]] static BankIndex adopt(const seqio::SequenceBank& bank,
                                        const SeedCoder& coder,
                                        AdoptedIndex parts);

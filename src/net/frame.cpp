@@ -63,19 +63,24 @@ void write_frame(Socket& sock, const FrameTag& tag, std::string_view payload) {
                   payload.size()));
 }
 
-bool read_frame(Socket& sock, Frame& frame) {
-  std::uint8_t header[8];
-  if (!sock.recv_exact(header, sizeof(header))) return false;
-  std::memcpy(frame.tag.data(), header, 4);
+std::uint32_t parse_frame_header(
+    const std::uint8_t (&header)[kFrameHeaderBytes], FrameTag& tag) {
+  std::memcpy(tag.data(), header, 4);
   const std::uint32_t len = static_cast<std::uint32_t>(header[4]) |
                             static_cast<std::uint32_t>(header[5]) << 8 |
                             static_cast<std::uint32_t>(header[6]) << 16 |
                             static_cast<std::uint32_t>(header[7]) << 24;
   if (len > kMaxFramePayload) {
-    throw NetError("frame '" + tag_name(frame.tag) +
-                   "': payload length " + std::to_string(len) +
-                   " exceeds the protocol limit");
+    throw NetError("frame '" + tag_name(tag) + "': payload length " +
+                   std::to_string(len) + " exceeds the protocol limit");
   }
+  return len;
+}
+
+bool read_frame(Socket& sock, Frame& frame) {
+  std::uint8_t header[kFrameHeaderBytes];
+  if (!sock.recv_exact(header, sizeof(header))) return false;
+  const std::uint32_t len = parse_frame_header(header, frame.tag);
   frame.payload.resize(len);
   if (len > 0 && !sock.recv_exact(frame.payload.data(), len)) {
     // recv_exact already threw unless EOF hit exactly at the boundary —

@@ -99,6 +99,15 @@ void write_frame(Socket& sock, const FrameTag& tag,
                  std::span<const std::uint8_t> payload);
 void write_frame(Socket& sock, const FrameTag& tag, std::string_view payload);
 
+/// Bytes in a frame header: the 4-byte tag, then the u32 LE payload
+/// length.
+inline constexpr std::size_t kFrameHeaderBytes = 8;
+
+/// Split a received header into its tag and payload length.  Throws
+/// NetError when the length exceeds kMaxFramePayload.
+[[nodiscard]] std::uint32_t parse_frame_header(
+    const std::uint8_t (&header)[kFrameHeaderBytes], FrameTag& tag);
+
 /// Read one frame.  Returns false on clean EOF before a header; throws
 /// NetError on truncation or an oversized length prefix.
 [[nodiscard]] bool read_frame(Socket& sock, Frame& frame);

@@ -65,10 +65,12 @@ int await_connect(int fd, int timeout_ms) {
   return err;
 }
 
-/// One timed connect attempt on an already-created socket.  Returns an
-/// errno-style code; 0 = connected and restored to blocking mode.
-int connect_with_deadline(int fd, const sockaddr* addr, socklen_t addrlen,
-                          int timeout_ms) {
+/// One connect attempt on an already-created socket: blocking when
+/// `timeout_ms` <= 0, else within the deadline.  Returns an errno-style
+/// code; 0 = connected (and back in blocking mode).
+int connect_fd(int fd, const sockaddr* addr, socklen_t addrlen,
+               int timeout_ms) {
+  if (timeout_ms <= 0) return ::connect(fd, addr, addrlen) == 0 ? 0 : errno;
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0) return errno;
   if (::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) return errno;
@@ -80,6 +82,10 @@ int connect_with_deadline(int fd, const sockaddr* addr, socklen_t addrlen,
   }
   if (::fcntl(fd, F_SETFL, flags) != 0 && err == 0) err = errno;
   return err;
+}
+
+std::string connect_error(int err) {
+  return err == ETIMEDOUT ? "timed out" : std::strerror(err);
 }
 
 sockaddr_un unix_addr(const std::string& path) {
@@ -169,30 +175,33 @@ void Socket::send_all(const void* data, std::size_t size) {
   }
 }
 
+std::size_t Socket::recv_some(void* data, std::size_t size) {
+  for (;;) {
+    const ssize_t n = ::recv(fd_, data, size, 0);
+    if (n >= 0) return static_cast<std::size_t>(n);
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      // Only reachable with SO_RCVTIMEO armed (see set_recv_timeout):
+      // the peer stalled past the bound.  Name the condition instead of
+      // the raw errno so callers can log a meaningful diagnostic.
+      throw NetError("recv: timed out waiting for the peer");
+    }
+    throw_errno("recv");
+  }
+}
+
 bool Socket::recv_exact(void* data, std::size_t size) {
   char* p = static_cast<char*>(data);
   std::size_t got = 0;
   while (got < size) {
-    const ssize_t n = ::recv(fd_, p + got, size - got, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // Only reachable with SO_RCVTIMEO armed (see set_recv_timeout):
-        // the peer stalled past the bound.  Name the condition instead
-        // of the raw errno so callers can log a meaningful diagnostic.
-        throw NetError("recv: timed out waiting for the peer (got " +
-                       std::to_string(got) + " of " + std::to_string(size) +
-                       " bytes)");
-      }
-      throw_errno("recv");
-    }
+    const std::size_t n = recv_some(p + got, size - got);
     if (n == 0) {
       if (got == 0) return false;  // clean EOF between messages
       throw NetError("recv: connection closed mid-message (got " +
                      std::to_string(got) + " of " + std::to_string(size) +
                      " bytes)");
     }
-    got += static_cast<std::size_t>(n);
+    got += n;
   }
   return true;
 }
@@ -240,44 +249,16 @@ Socket listen_endpoint(Endpoint& ep, int backlog) {
   throw NetError("bind " + to_string(ep) + ": " + last_error);
 }
 
-Socket connect_endpoint(const Endpoint& ep) {
-  if (ep.kind == Endpoint::Kind::kUnix) {
-    Socket sock(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0));
-    if (!sock.valid()) throw_errno("socket");
-    const sockaddr_un addr = unix_addr(ep.path);
-    if (::connect(sock.fd(), reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) != 0) {
-      throw_errno("connect " + to_string(ep));
-    }
-    return sock;
-  }
-
-  AddrInfo ai;
-  resolve(ep, /*passive=*/false, ai);
-  std::string last_error = "no addresses";
-  for (addrinfo* a = ai.head; a != nullptr; a = a->ai_next) {
-    Socket sock(::socket(a->ai_family, a->ai_socktype | SOCK_CLOEXEC,
-                         a->ai_protocol));
-    if (!sock.valid()) continue;
-    if (::connect(sock.fd(), a->ai_addr, a->ai_addrlen) == 0) return sock;
-    last_error = std::strerror(errno);
-  }
-  throw NetError("connect " + to_string(ep) + ": " + last_error);
-}
-
 Socket connect_endpoint(const Endpoint& ep, int timeout_ms) {
-  if (timeout_ms <= 0) return connect_endpoint(ep);
-
   if (ep.kind == Endpoint::Kind::kUnix) {
     Socket sock(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0));
     if (!sock.valid()) throw_errno("socket");
     const sockaddr_un addr = unix_addr(ep.path);
-    const int err = connect_with_deadline(
-        sock.fd(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr),
-        timeout_ms);
+    const int err =
+        connect_fd(sock.fd(), reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr), timeout_ms);
     if (err != 0) {
-      throw NetError("connect " + to_string(ep) + ": " +
-                     (err == ETIMEDOUT ? "timed out" : std::strerror(err)));
+      throw NetError("connect " + to_string(ep) + ": " + connect_error(err));
     }
     return sock;
   }
@@ -289,10 +270,10 @@ Socket connect_endpoint(const Endpoint& ep, int timeout_ms) {
     Socket sock(::socket(a->ai_family, a->ai_socktype | SOCK_CLOEXEC,
                          a->ai_protocol));
     if (!sock.valid()) continue;
-    const int err = connect_with_deadline(sock.fd(), a->ai_addr,
-                                          a->ai_addrlen, timeout_ms);
+    const int err =
+        connect_fd(sock.fd(), a->ai_addr, a->ai_addrlen, timeout_ms);
     if (err == 0) return sock;
-    last_error = err == ETIMEDOUT ? "timed out" : std::strerror(err);
+    last_error = connect_error(err);
   }
   throw NetError("connect " + to_string(ep) + ": " + last_error);
 }

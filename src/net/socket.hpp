@@ -68,6 +68,10 @@ class Socket {
   /// MSG_NOSIGNAL.  Throws NetError (EPIPE for a vanished peer).
   void send_all(const void* data, std::size_t size);
 
+  /// One recv(2) of at most `size` bytes, retrying EINTR.  Returns the
+  /// byte count, 0 at EOF; throws NetError on errors.
+  [[nodiscard]] std::size_t recv_some(void* data, std::size_t size);
+
   /// Read exactly `size` bytes.  Returns false on a clean EOF before the
   /// first byte (peer closed between messages); throws NetError on
   /// errors or an EOF mid-message (truncated frame).
@@ -83,14 +87,11 @@ class Socket {
 /// `ep` so callers can advertise the real address.
 [[nodiscard]] Socket listen_endpoint(Endpoint& ep, int backlog);
 
-/// Connect to the endpoint (blocking).  Throws NetError.
-[[nodiscard]] Socket connect_endpoint(const Endpoint& ep);
-
-/// Connect with a deadline: the TCP handshake (or unix connect) must
-/// finish within `timeout_ms` or NetError("connect ...: timed out") is
-/// thrown.  `timeout_ms` <= 0 degenerates to the blocking connect.  The
-/// returned socket is back in blocking mode.
-[[nodiscard]] Socket connect_endpoint(const Endpoint& ep, int timeout_ms);
+/// Connect to the endpoint; throws NetError.  With `timeout_ms` > 0 the
+/// TCP handshake (or unix connect) must finish within it or
+/// NetError("connect ...: timed out") is thrown; the returned socket is
+/// back in blocking mode.  `timeout_ms` <= 0 connects blocking.
+[[nodiscard]] Socket connect_endpoint(const Endpoint& ep, int timeout_ms = 0);
 
 /// Bound every subsequent recv on `sock` to `timeout_ms` (SO_RCVTIMEO).
 /// A stalled peer then surfaces as NetError("recv: timed out ...") from

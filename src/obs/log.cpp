@@ -146,4 +146,12 @@ void Logger::log(LogLevel level, std::string_view message,
   (*out_) << line << std::flush;
 }
 
+Logger& logger_or_silent(Logger* logger) {
+  if (logger != nullptr) return *logger;
+  // An ostream with no streambuf sets badbit and discards all writes.
+  static std::ostream* discard = new std::ostream(nullptr);
+  static Logger* silent = new Logger(*discard, LogLevel::kError);
+  return *silent;
+}
+
 }  // namespace scoris::obs

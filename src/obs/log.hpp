@@ -108,6 +108,10 @@ class Logger {
   std::atomic<LogLevel> level_;
 };
 
+/// `*logger`, or a process-wide logger that discards every line when
+/// `logger` is nullptr: for components whose logger is optional.
+[[nodiscard]] Logger& logger_or_silent(Logger* logger);
+
 /// RFC3339 UTC timestamp with millisecond precision, e.g.
 /// "2026-08-08T12:34:56.789Z".  Exposed for tests.
 [[nodiscard]] std::string rfc3339_utc_now();

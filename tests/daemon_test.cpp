@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -22,6 +23,8 @@
 #include "api/sinks.hpp"
 #include "daemon/server.hpp"
 #include "net/client.hpp"
+#include "net/frame.hpp"
+#include "net/socket.hpp"
 #include "seqio/fasta.hpp"
 #include "simulate/generators.hpp"
 #include "simulate/rng.hpp"
@@ -355,6 +358,30 @@ TEST(Daemon, StopWithIdleConnectedClientStillReturns) {
       net::QueryClient::connect(daemon.server().endpoint());
   daemon.stop();  // would hang forever if drain waited on the idle client
   SUCCEED();
+}
+
+TEST(Daemon, StopWithStalledMidHeaderClientReturns) {
+  DaemonFixture daemon;
+  // A peer that sends two bytes of a frame tag and stalls leaves its
+  // handler mid-frame, not idle; the drain must still finish.
+  std::optional<net::Socket> stalled(
+      net::connect_endpoint(daemon.server().endpoint()));
+  net::Frame hello;
+  ASSERT_TRUE(net::read_frame(*stalled, hello));
+  ASSERT_EQ(hello.tag, net::kHelloTag);
+  stalled->send_all("QR", 2);
+  // Give the handler time to consume the two bytes before the stop.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  std::future<void> stopped =
+      std::async(std::launch::async, [&daemon] { daemon.stop(); });
+  const bool returned = stopped.wait_for(std::chrono::seconds(5)) ==
+                        std::future_status::ready;
+  // A wedged server sees EOF mid-frame here and lets go, so a failure
+  // ends the test instead of hanging it.
+  stalled.reset();
+  stopped.get();
+  EXPECT_TRUE(returned) << "serve() stayed blocked on a stalled peer";
 }
 
 /// First sample value of `name` in a Prometheus text snapshot, or -1.

@@ -11,7 +11,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <chrono>
 #include <filesystem>
+#include <future>
 #include <istream>
 #include <memory>
 #include <optional>
@@ -633,6 +635,31 @@ TEST(Distributed, CoordinatorDeathMidStreamLeavesWorkerServing) {
   // No temp-file residue: the scratch dir holds exactly the worker
   // socket (workers stream from memory, never via disk).
   EXPECT_EQ(fixture.scratch().entries(), 1u) << "worker leaked temp files";
+}
+
+TEST(Distributed, WorkerStopWithStalledMidHeaderPeerReturns) {
+  DistFixture fixture;
+  // A peer that sends two bytes of the WJOB tag and stalls leaves its
+  // handler mid-frame, not idle; the drain must still finish.
+  std::optional<net::Socket> stalled(
+      net::connect_endpoint(fixture.worker().endpoint()));
+  net::Frame hello;
+  ASSERT_TRUE(net::read_frame(*stalled, hello));
+  ASSERT_EQ(hello.tag, dist::kWorkerHelloTag);
+  stalled->send_all("WJ", 2);
+  // Give the handler time to consume the two bytes before the stop.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  std::future<void> stopped =
+      std::async(std::launch::async, [&fixture] { fixture.stop(); });
+  const bool returned = stopped.wait_for(std::chrono::seconds(5)) ==
+                        std::future_status::ready;
+  // A wedged worker sees EOF mid-frame here and lets go, so a failure
+  // ends the test instead of hanging it.
+  stalled.reset();
+  stopped.get();
+  EXPECT_TRUE(returned) << "serve() stayed blocked on a stalled peer";
+  EXPECT_EQ(fixture.worker().counters().jobs, 0u);
 }
 
 TEST(Distributed, ShipsReferenceAsIndexPathWhenConfigured) {

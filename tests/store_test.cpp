@@ -654,6 +654,60 @@ TEST(IndexStoreReject, InconsistentIndexBodyRejected) {
                std::runtime_error);
 }
 
+TEST(IndexStoreReject, BadOffsetOrPositionRejected) {
+  // CRC-valid bodies of the right sizes whose one offset points 100 past
+  // the positions, or whose one position names a word outside the bank,
+  // must be rejected at load: an occurrence slice would otherwise read
+  // out of bounds.
+  const auto bank = make_bank(828, 2);
+  const index::BankIndex fresh(bank, index::SeedCoder(6));
+  const std::size_t total = fresh.total_indexed();
+  const auto blob = [&](std::span<const std::uint32_t> offsets,
+                        std::span<const std::int32_t> positions) {
+    std::stringstream buf;
+    store::write_header(buf, store::make_tag("SCOI"), 3);
+    store::SectionWriter section(store::make_tag("INDX"));
+    section.put_u32(6);
+    section.put_u64(bank.data_size());
+    section.put_u64(total);
+    section.put_u64(fresh.distinct_seeds());
+    section.put_u64(0);
+    section.put_array(
+        std::span<const std::uint64_t>(fresh.indexed_bitmap().words()));
+    section.put_u64(fresh.indexed_bitmap().size());
+    section.put_array(offsets);
+    section.put_array(positions);
+    section.finish(buf);
+    return buf;
+  };
+  const auto good_offsets = fresh.occurrence_offsets();
+  const auto good_positions = fresh.occurrence_positions();
+  std::stringstream good = blob(good_offsets, good_positions);
+  EXPECT_EQ(index::BankIndex::load(good, bank).total_indexed(), total);
+
+  std::vector<std::uint32_t> offsets(good_offsets.begin(), good_offsets.end());
+  offsets[offsets.size() / 2] = static_cast<std::uint32_t>(total + 100);
+  std::stringstream bad_offset = blob(offsets, good_positions);
+  EXPECT_THROW((void)index::BankIndex::load(bad_offset, bank),
+               std::runtime_error);
+
+  std::vector<std::int32_t> positions(good_positions.begin(),
+                                      good_positions.end());
+  ASSERT_GT(positions.size(), 1u);
+  positions.front() = -1;
+  std::stringstream negative = blob(good_offsets, positions);
+  EXPECT_THROW((void)index::BankIndex::load(negative, bank),
+               std::runtime_error);
+  // The last word that fits starts at data_size - W; one past it spills.
+  positions.front() = static_cast<std::int32_t>(bank.data_size() - 6 + 1);
+  std::stringstream past_end = blob(good_offsets, positions);
+  EXPECT_THROW((void)index::BankIndex::load(past_end, bank),
+               std::runtime_error);
+  positions.front() = static_cast<std::int32_t>(bank.data_size() - 6);
+  std::stringstream last_word = blob(good_offsets, positions);
+  EXPECT_EQ(index::BankIndex::load(last_word, bank).total_indexed(), total);
+}
+
 TEST(IndexStoreReject, EmptyKeyListAndBadW) {
   const auto bank = make_bank(827, 2);
   std::stringstream buf;
