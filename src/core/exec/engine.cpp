@@ -1,11 +1,13 @@
 #include "core/exec/engine.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "align/simd/kernel_dispatch.hpp"
 #include "core/chunked.hpp"
@@ -52,6 +54,30 @@ std::string group_label(std::uint32_t gid, bool minus) {
 
 using align::Hsp;
 using index::BankIndex;
+
+/// Lends the calling thread's spare offsets buffer to one subject index
+/// and takes it back on scope exit.  The subject dictionary is 4 * 4^W
+/// bytes (16 MiB at W = 11) however small the subject, so a daemon
+/// connection reuses one allocation for all its queries.  Handing it back
+/// to malloc per query left it to heap placement how many copies stayed
+/// resident.  A nested search on the same thread finds the slot empty and
+/// allocates its own.
+class SpareOffsets {
+ public:
+  SpareOffsets() : buffer_(std::move(slot())) {}
+  ~SpareOffsets() { slot() = std::move(buffer_); }
+  SpareOffsets(const SpareOffsets&) = delete;
+  SpareOffsets& operator=(const SpareOffsets&) = delete;
+
+  [[nodiscard]] std::vector<std::uint32_t>* get() { return &buffer_; }
+
+ private:
+  static std::vector<std::uint32_t>& slot() {
+    thread_local std::vector<std::uint32_t> spare;
+    return spare;
+  }
+  std::vector<std::uint32_t> buffer_;
+};
 
 /// Karlin parameters for one group: the base solution, or re-solved from
 /// the banks' actual compositions (size-weighted average, as the
@@ -211,6 +237,8 @@ ExecSummary execute(const ExecRequest& request, HitSink& sink) {
       iopt2.mask = &mask2;
     }
     if (options.asymmetric) iopt2.stride = 2;
+    SpareOffsets offsets2;
+    iopt2.offsets_buffer = offsets2.get();
     const BankIndex idx2(subject, coder, iopt2);
     const double tg_seconds = tg.seconds();
     index_group_seconds.push_back(tg_seconds);

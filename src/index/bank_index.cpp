@@ -32,13 +32,16 @@ BankIndex::BankIndex(const seqio::SequenceBank& bank, const SeedCoder& coder,
   // sequence in the bank (this keeps sliced/chunked runs bit-identical,
   // see core/chunked.hpp).
   const auto stride = static_cast<std::size_t>(options.stride);
-  build(options.mask, [stride](std::size_t /*pos*/, std::size_t local) {
+  build(options.offsets_buffer != nullptr ? *options.offsets_buffer
+                                          : occ_offsets_storage_,
+        options.mask, [stride](std::size_t /*pos*/, std::size_t local) {
     return stride == 1 || local % stride == 0;
   });
 }
 
 template <typename Keep>
-void BankIndex::build(const filter::MaskBitmap* mask, Keep word_kept) {
+void BankIndex::build(std::vector<std::uint32_t>& offsets,
+                      const filter::MaskBitmap* mask, Keep word_kept) {
   const seqio::SequenceBank& bank = *bank_;
   const auto codes = bank.data();
   const auto w = static_cast<std::size_t>(coder_.w());
@@ -72,7 +75,6 @@ void BankIndex::build(const filter::MaskBitmap* mask, Keep word_kept) {
   // Pass 1 counts code c into slot c + 2 of a 4^W + 2 array; a prefix
   // sum then leaves the start of code c in slot c + 1.
   const std::size_t num_codes = coder_.num_seeds();
-  std::vector<std::uint32_t>& offsets = occ_offsets_storage_;
   offsets.assign(num_codes + 2, 0);
   for_each_word([&](std::size_t, SeedCode code) { ++offsets[code + 2]; });
   for (std::size_t slot = 2; slot < num_codes + 2; ++slot) {
@@ -92,7 +94,7 @@ void BankIndex::build(const filter::MaskBitmap* mask, Keep word_kept) {
     indexed_.set(pos);
   });
   offsets.pop_back();
-  occ_offsets_ = occ_offsets_storage_;
+  occ_offsets_ = offsets;
   occ_positions_ = occ_positions_storage_;
 }
 
@@ -230,9 +232,10 @@ BankIndex BankIndex::load_body(store::SectionReader& section,
       BankIndex idx(bank, coder, /*adopt_tag=*/0);
       idx.masked_bases_ = parts.masked_bases;
       const filter::MaskBitmap& kept = parts.indexed;
-      idx.build(nullptr, [&kept](std::size_t pos, std::size_t /*local*/) {
-        return kept.test(pos);
-      });
+      idx.build(idx.occ_offsets_storage_, nullptr,
+                [&kept](std::size_t pos, std::size_t /*local*/) {
+                  return kept.test(pos);
+                });
       if (idx.total_indexed_ != parts.total_indexed ||
           idx.distinct_seeds_ != parts.distinct_seeds) {
         throw std::invalid_argument(

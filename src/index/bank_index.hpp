@@ -50,6 +50,10 @@ struct IndexOptions {
   /// W = BLAT-style non-overlapping tiles).
   int stride = 1;
   const filter::MaskBitmap* mask = nullptr;  ///< optional soft mask
+  /// When set, the offsets are built in this vector, reusing its capacity,
+  /// and the index only views them: the vector must outlive the index and
+  /// back no other index meanwhile.
+  std::vector<std::uint32_t>* offsets_buffer = nullptr;
 };
 
 /// Prebuilt index buffers handed to BankIndex::adopt.  The spans may point
@@ -209,14 +213,16 @@ class BankIndex {
   /// Counting-sort build of the lists, bitmap and counters over the word
   /// starts that `word_kept(p, local)` accepts among those whose W bases
   /// are all concrete and unmasked (global position p, sequence-local
-  /// offset local).
+  /// offset local).  The offsets are built in `offsets`.
   template <typename Keep>
-  void build(const filter::MaskBitmap* mask, Keep word_kept);
+  void build(std::vector<std::uint32_t>& offsets,
+             const filter::MaskBitmap* mask, Keep word_kept);
 
   const seqio::SequenceBank* bank_;
   SeedCoder coder_;
   // Owned storage when built in place; empty when adopting, in which case
-  // owner_ pins the external memory behind the spans.
+  // owner_ pins the external memory behind the spans.  The offsets stay
+  // empty too when they were built in IndexOptions::offsets_buffer.
   std::vector<std::uint32_t> occ_offsets_storage_;
   std::vector<std::int32_t> occ_positions_storage_;
   std::shared_ptr<const void> owner_;

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "filter/dust.hpp"
 #include "index/bank_index.hpp"
@@ -428,6 +430,30 @@ TEST(BankIndex, MemoryBytesIsOffsetsPlusPositions) {
   EXPECT_EQ(idx.dictionary_bytes(), 4 * (coder.num_seeds() + 1));
   EXPECT_EQ(idx.chain_bytes(), 4 * idx.total_indexed());
   EXPECT_EQ(idx.occurrence_bytes(), 0u);
+}
+
+TEST(BankIndex, OffsetsBufferIsReusedAndMatchesOwnedBuild) {
+  simulate::Rng rng(29);
+  const auto first = ragged_bank(rng, 8);
+  const auto second = ragged_bank(rng, 8);
+  const SeedCoder coder(8);
+  std::vector<std::uint32_t> buffer;
+  IndexOptions opt;
+  opt.offsets_buffer = &buffer;
+  const std::uint32_t* storage = nullptr;
+  for (const seqio::SequenceBank* bank : {&first, &second}) {
+    const BankIndex owned(*bank, coder);
+    const BankIndex borrowed(*bank, coder, opt);
+    if (storage == nullptr) storage = buffer.data();
+    // The second build reuses the first one's allocation.
+    EXPECT_EQ(buffer.data(), storage);
+    EXPECT_EQ(borrowed.occurrence_offsets().data(), buffer.data());
+    EXPECT_TRUE(std::ranges::equal(borrowed.occurrence_offsets(),
+                                   owned.occurrence_offsets()));
+    EXPECT_TRUE(std::ranges::equal(borrowed.occurrence_positions(),
+                                   owned.occurrence_positions()));
+    EXPECT_EQ(borrowed.distinct_seeds(), owned.distinct_seeds());
+  }
 }
 
 }  // namespace
