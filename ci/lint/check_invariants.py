@@ -5,7 +5,8 @@ Generic tools (clang-tidy, -Wthread-safety) cannot see the contracts
 that make scoris correct: the wire-protocol tag tables must match the
 docs, the store format must keep every section CRC-framed, the whole
 tree must lock through the annotated util::Mutex wrappers, and the
-deterministic pipeline must never read a wall clock or a PRNG.  Each
+deterministic pipeline must never read a wall clock or a PRNG, and
+the README's CLI flag table must match the CLI's flag table.  Each
 rule below failed-fast on a real class of past or near-miss defect;
 see docs/STATIC_ANALYSIS.md for the rationale per rule.
 
@@ -233,12 +234,63 @@ def check_fuzz_corpora() -> None:
                    f"fuzz/corpus/{name}/")
 
 
+# --------------------------------------------------------------------------
+# R6 (cli-docs-sync) — the README's CLI flag table and the flat compare
+# form's rows in the cli.cpp flag table must agree, both ways.  The flag
+# table is what the binary parses and prints in --help; a flag missing
+# from the README is undocumented, and a README row naming no flag
+# documents an option the binary rejects.
+# --------------------------------------------------------------------------
+
+def check_cli_docs_sync() -> None:
+    cli = SRC / "cli" / "cli.cpp"
+    text = cli.read_text()
+    groups: dict[str, dict[str, int]] = {}
+    for m in re.finditer(r"constexpr Flag (k\w+)\[\] = \{(.*?)\n\};", text,
+                         re.DOTALL):
+        rows: dict[str, int] = {}
+        for row in re.finditer(r'(?:\{|\.name = )"([a-z0-9-]+)"', m.group(2)):
+            rows[row.group(1)] = text.count("\n", 0, m.start(2) + row.start()) + 1
+        groups[m.group(1)] = rows
+    flat = re.search(r'\{"",\s*\w+,\s*join\(\{([^}]*)\}\)', text)
+    if flat is None or not groups:
+        report("R6-cli-docs-sync", cli, 1,
+               "cannot find the flag groups or the flat compare form")
+        return
+    flags: dict[str, int] = {}
+    for name in re.findall(r"k\w+", flat.group(1)):
+        flags.update(groups.get(name, {}))
+
+    readme = REPO / "README.md"
+    lines = readme.read_text().splitlines()
+    documented: dict[str, int] = {}
+    in_cli = False
+    for lineno, line in enumerate(lines, 1):
+        if line.startswith("## "):
+            in_cli = line.strip() == "## CLI"
+        elif in_cli and line.startswith("| `--"):
+            for name in re.findall(r"--([a-z0-9-]+)", line.split("|")[1]):
+                documented[name] = lineno
+
+    for name, lineno in sorted(flags.items()):
+        if name not in documented:
+            report("R6-cli-docs-sync", cli, lineno,
+                   f"flag --{name} of the compare form has no row in the "
+                   f"README's CLI flag table")
+    for name, lineno in sorted(documented.items()):
+        if name not in flags:
+            report("R6-cli-docs-sync", readme, lineno,
+                   f"README documents --{name}, which the compare form's "
+                   f"flag table does not define")
+
+
 def main() -> int:
     check_protocol_docs_sync()
     check_store_writes_framed()
     check_annotated_locking_only()
     check_deterministic_paths()
     check_fuzz_corpora()
+    check_cli_docs_sync()
     if violations:
         for v in violations:
             print(v)

@@ -1,19 +1,21 @@
 #include "cli/cli.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <csignal>
 #include <cstdint>
 #include <exception>
 #include <fstream>
 #include <iomanip>
-#include <iostream>
+#include <initializer_list>
 #include <optional>
 #include <ostream>
-#include <string>
-#include <vector>
-
-#include <atomic>
-#include <csignal>
+#include <span>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <variant>
+#include <vector>
 
 #include "align/simd/kernel_dispatch.hpp"
 #include "api/session.hpp"
@@ -40,78 +42,22 @@ namespace {
 
 constexpr const char* kVersion = "scoris 0.1.0 (SCORIS-N, Lavenier'08 ORIS)";
 
-/// Flags the flat compare driver understands; anything else is a usage
-/// error.
-const std::vector<std::string>& known_flags() {
-  static const std::vector<std::string> kKnown = {
-      "bank1",   "bank2",      "out",   "w",       "threads",
-      "strand",  "evalue",     "dust",  "no-dust", "asymmetric",
-      "s1",      "stats",      "help",  "version", "shards",
-      "schedule", "memory-budget-mb", "delivery-budget-kb", "tmp-dir",
-      "trace-json", "force-scalar", "kernel",
-      "workers", "worker-timeout-ms", "dist-slices",
-  };
-  return kKnown;
-}
-
-const std::vector<std::string>& known_search_flags() {
-  static const std::vector<std::string> kKnown = {
-      "index",   "bank2",  "out",     "w",
-      "threads", "strand", "evalue",  "dust",
-      "no-dust", "asymmetric", "s1",  "stats",
-      "memory-budget-mb", "help",     "shards",
-      "schedule", "delivery-budget-kb", "tmp-dir",
-      "trace-json", "force-scalar",
-      "workers", "worker-timeout-ms", "dist-slices",
-  };
-  return kKnown;
-}
-
-const std::vector<std::string>& known_index_flags() {
-  static const std::vector<std::string> kKnown = {
-      "bank", "out", "w", "dust", "no-dust", "stats", "help",
-  };
-  return kKnown;
-}
-
-const std::vector<std::string>& known_serve_flags() {
-  static const std::vector<std::string> kKnown = {
-      "index",   "listen", "max-clients", "backlog",
-      "w",       "threads", "strand",     "evalue",
-      "dust",    "no-dust", "asymmetric", "s1",
-      "shards",  "schedule", "memory-budget-mb",
-      "delivery-budget-kb", "tmp-dir",    "help",
-      "log-level", "log-file",
-  };
-  return kKnown;
-}
-
-const std::vector<std::string>& known_query_flags() {
-  static const std::vector<std::string> kKnown = {
-      "connect", "bank2", "out", "strand", "stats", "help",
-      "retry", "retry-backoff-ms",
-  };
-  return kKnown;
-}
-
-const std::vector<std::string>& known_worker_flags() {
-  static const std::vector<std::string> kKnown = {
-      "listen", "threads", "backlog", "max-jobs",
-      "log-level", "log-file", "help",
-  };
-  return kKnown;
-}
-
-const std::vector<std::string>& known_stats_flags() {
-  static const std::vector<std::string> kKnown = {
-      "connect", "help",
-  };
-  return kKnown;
-}
-
-bool parse_worker_list(const std::string& spec,
-                       std::vector<net::Endpoint>& workers,
-                       std::ostream& err);
+/// What any of the seven forms parses: the compare/search fields plus the
+/// daemon and client settings.
+struct Config : CliConfig {
+  net::Endpoint endpoint;       ///< --listen (serve, worker) or --connect
+  std::size_t max_clients = 4;  ///< serve: concurrent admitted connections
+  std::size_t max_jobs = 2;     ///< worker: concurrent coordinator connections
+  int backlog = 16;             ///< kernel accept-queue bound
+  obs::LogLevel log_level = obs::LogLevel::kInfo;
+  std::string log_file;  ///< structured-log path; empty = the error stream
+  net::QueryStrand query_strand = net::QueryStrand::kDefault;
+  /// query: retry a BUSY admission refusal up to this many times with
+  /// capped exponential backoff (net::RetryPolicy — the same policy the
+  /// distributed coordinator re-dials workers with).  0 = fail fast.
+  int retry = 0;
+  int retry_backoff_ms = 100;  ///< delay before the first retry
+};
 
 /// Load a bank from FASTA, or from the binary .scob format when the path
 /// ends in ".scob".
@@ -120,209 +66,6 @@ seqio::SequenceBank load_bank(const std::string& path) {
     return seqio::load_bank_file(path);
   }
   return seqio::read_fasta_file(path);
-}
-
-/// Strict numeric flag parsing: Args::get_int/get_double silently fall back
-/// on unparsable text, which would let a typo like `--evalue 1e-3x` run with
-/// the default. Reject instead, and range-check before narrowing so huge
-/// values cannot wrap into the valid range.  The range check goes through
-/// core::check_range — the same helper Options::validate() uses — so the
-/// CLI and the library reject with identical diagnostics.
-bool parse_int_flag(const util::Args& args, const std::string& name,
-                    std::int64_t lo, std::int64_t hi, int& value,
-                    std::ostream& err) {
-  if (!args.has(name)) return true;
-  const std::optional<std::int64_t> v = args.get_int_strict(name);
-  if (!v) {
-    err << "error: --" << name << " expects an integer, got '"
-        << args.get(name) << "'\n";
-    return false;
-  }
-  if (const auto issue = core::check_range(name, *v, lo, hi)) {
-    err << "error: " << issue->message << '\n';
-    return false;
-  }
-  value = static_cast<int>(*v);
-  return true;
-}
-
-bool parse_size_flag(const util::Args& args, const std::string& name,
-                     int lo, int hi, std::size_t& value, std::ostream& err) {
-  if (!args.has(name)) return true;
-  int v = 0;
-  if (!parse_int_flag(args, name, lo, hi, v, err)) return false;
-  value = static_cast<std::size_t>(v);
-  return true;
-}
-
-bool parse_double_flag(const util::Args& args, const std::string& name,
-                       double& value, std::ostream& err) {
-  if (!args.has(name)) return true;
-  const std::optional<double> v = args.get_double_strict(name);
-  if (!v) {
-    err << "error: --" << name << " expects a number, got '" << args.get(name)
-        << "'\n";
-    return false;
-  }
-  value = *v;
-  return true;
-}
-
-/// Args greedily binds `--flag token` even for boolean flags, so
-/// `scoris --stats a.fa b.fa` would silently swallow `a.fa`. Catch any
-/// value that is not a boolean spelling and say what happened.
-bool check_boolean_flag(const util::Args& args, const std::string& name,
-                        std::ostream& err) {
-  if (!args.has(name)) return true;
-  const std::string raw = args.get(name);
-  if (raw == "true" || raw == "false" || raw == "1" || raw == "0" ||
-      raw == "yes" || raw == "no") {
-    return true;
-  }
-  err << "error: --" << name << " does not take a value (got '" << raw
-      << "'); place boolean flags after the banks or write --" << name
-      << "=true\n";
-  return false;
-}
-
-bool reject_unknown_flags(const util::Args& args,
-                          const std::vector<std::string>& known,
-                          std::ostream& err) {
-  for (const std::string& name : args.flag_names()) {
-    if (std::find(known.begin(), known.end(), name) == known.end()) {
-      err << "error: unknown flag --" << name << '\n';
-      return false;
-    }
-  }
-  return true;
-}
-
-bool reject_positionals(const util::Args& args, const char* subcommand,
-                        std::ostream& err) {
-  if (args.positional().empty()) return true;
-  err << "error: " << subcommand << " takes no positional arguments, got '"
-      << args.positional()[0] << "'\n";
-  return false;
-}
-
-bool parse_endpoint_flag(const std::string& spec, net::Endpoint& endpoint,
-                         std::ostream& err) {
-  try {
-    endpoint = net::parse_endpoint(spec);
-  } catch (const net::NetError& e) {
-    err << "error: " << e.what() << '\n';
-    return false;
-  }
-  return true;
-}
-
-/// --log-level and --log-file of the two daemons.
-bool parse_log_flags(const util::Args& args, std::string& log_level,
-                     std::string& log_file, std::ostream& err) {
-  const std::string level = args.get("log-level");
-  if (!level.empty()) {
-    if (!obs::parse_log_level(level)) {
-      err << "error: --log-level must be error, warn, info, or debug (got '"
-          << level << "')\n";
-      return false;
-    }
-    log_level = level;
-  }
-  log_file = args.get("log-file");
-  return true;
-}
-
-/// Map a parsed CliConfig onto core::Options and validate.  Options::
-/// validate() (plus set_strand/set_schedule for the name-to-enum maps)
-/// is the single source of truth for what is legal, so the CLI rejects
-/// exactly what Session's constructor would reject — every diagnostic is
-/// printed as "error: <message>" and the caller exits 2.
-bool build_options(const CliConfig& config, core::Options& options,
-                   std::ostream& err) {
-  options = core::Options{};
-  options.w = config.w;
-  options.threads = config.threads;
-  options.shards = config.shards;
-  options.min_hsp_score = config.min_hsp_score;
-  options.max_evalue = config.max_evalue;
-  options.dust = config.dust;
-  options.asymmetric = config.asymmetric;
-  options.force_scalar_kernel = config.force_scalar;
-  options.delivery_budget_bytes = config.delivery_budget_kb << 10;
-  options.tmp_dir = config.tmp_dir;
-
-  bool ok = true;
-  const auto report = [&](const std::optional<core::OptionIssue>& issue) {
-    if (issue) {
-      err << "error: " << issue->message << '\n';
-      ok = false;
-    }
-  };
-  report(core::set_strand(options, config.strand));
-  report(core::set_schedule(options, config.schedule));
-  for (const core::OptionIssue& issue : options.validate()) {
-    err << "error: " << issue.message << '\n';
-    ok = false;
-  }
-  return ok;
-}
-
-/// Flags shared by the flat compare form and `scoris search`.  Numeric
-/// values are parsed strictly (and range-checked through the same
-/// core::check_range the library validator uses); names and the
-/// assembled option set are validated by build_options afterwards.
-bool parse_search_options(const util::Args& args, CliConfig& config,
-                          std::ostream& err) {
-  config.out_path = args.get("out");
-  if (!parse_int_flag(args, "w", core::Options::kMinW, core::Options::kMaxW,
-                      config.w, err)) {
-    return false;
-  }
-  if (!parse_int_flag(args, "threads", core::Options::kMinThreads,
-                      core::Options::kMaxThreads, config.threads, err)) {
-    return false;
-  }
-  if (!parse_int_flag(args, "s1", 0, core::Options::kMaxHspScore,
-                      config.min_hsp_score, err)) {
-    return false;
-  }
-  if (!parse_double_flag(args, "evalue", config.max_evalue, err)) return false;
-
-  config.strand = args.get("strand", config.strand);
-  if (!parse_size_flag(args, "shards", 0,
-                       static_cast<int>(core::Options::kMaxShards),
-                       config.shards, err)) {
-    return false;
-  }
-  config.schedule = args.get("schedule", config.schedule);
-  if (!parse_size_flag(args, "memory-budget-mb", 1, 1 << 20,
-                       config.memory_budget_mb, err)) {
-    return false;
-  }
-  if (!parse_size_flag(args, "delivery-budget-kb", 1, 1 << 20,
-                       config.delivery_budget_kb, err)) {
-    return false;
-  }
-  config.tmp_dir = args.get("tmp-dir");
-  config.trace_json_path = args.get("trace-json");
-
-  config.workers = args.get("workers");
-  if (!parse_int_flag(args, "worker-timeout-ms", 1, 1 << 30,
-                      config.worker_timeout_ms, err)) {
-    return false;
-  }
-  if (!parse_size_flag(args, "dist-slices", 0, 1 << 20, config.dist_slices,
-                       err)) {
-    return false;
-  }
-
-  config.dust = args.get_flag("dust", true);
-  if (args.get_flag("no-dust")) config.dust = false;
-  config.asymmetric = args.get_flag("asymmetric");
-  config.force_scalar = args.get_flag("force-scalar");
-  config.stats = args.get_flag("stats");
-
-  return build_options(config, config.options, err);
 }
 
 void print_stats(std::ostream& err, const core::PipelineStats& s,
@@ -417,18 +160,6 @@ bool flush_sink(const CliConfig& config, std::ostream& sink,
   return true;
 }
 
-/// Report the per-query streaming summary + stats (shared by the flat
-/// and search drivers).
-void print_outcome_stats(std::ostream& err, const CliConfig& config,
-                         const SearchOutcome& outcome) {
-  if (config.memory_budget_mb > 0) {
-    err << "scoris: streamed bank2 in " << outcome.slices
-        << " slice(s) under a " << config.memory_budget_mb
-        << " MB index budget\n";
-  }
-  print_stats(err, outcome.stats, outcome.stats.alignments);
-}
-
 /// Streaming writes m8 lines before the run completes, so a mid-run
 /// pipeline failure would otherwise leave a truncated (but well-formed)
 /// --out file behind.  Restore the old all-or-nothing file contract by
@@ -439,6 +170,301 @@ void discard_partial_output(const CliConfig& config,
   if (config.out_path.empty()) return;
   out_file.close();
   std::ofstream(config.out_path, std::ios::trunc);
+}
+
+// --- the flag table ---------------------------------------------------------
+
+/// How a flag's value is read.  Numbers are parsed strictly (Args::get_int
+/// would silently fall back on a typo like `--evalue 1e-3x`) and
+/// range-checked before narrowing through core::check_range, the helper
+/// Options::validate() uses, so the CLI and the library reject with one
+/// message.
+enum class Kind { kSwitch, kInt, kSize, kDouble, kText, kEndpoint, kEndpoints };
+using enum Kind;
+
+/// Where a flag's value is stored; the alternative matches the Kind.
+using Slot = std::variant<bool*, int*, std::size_t*, double*, std::string*,
+                          net::Endpoint*, std::vector<net::Endpoint>*>;
+
+/// Stores a text value that has a fixed set of spellings, or says why not.
+using Setter = std::optional<core::OptionIssue> (*)(Config&, std::string_view);
+
+/// One flag: its value, bounds, destination and --help line.  In `help`,
+/// '\n' continues on an indented line, {range} prints "lo..hi" and $0 the
+/// program name.
+struct Flag {
+  const char* name;
+  Kind kind;
+  const char* metavar;  ///< "" for a switch that is written bare
+  const char* help;
+  Slot (*slot)(Config&) = nullptr;  ///< null: `set`, or --no-dust's rule
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+  Setter set = nullptr;
+};
+
+std::optional<core::OptionIssue> set_strand(Config& c, std::string_view name) {
+  return core::set_strand(c.options, name);
+}
+
+std::optional<core::OptionIssue> set_schedule(Config& c,
+                                              std::string_view name) {
+  return core::set_schedule(c.options, name);
+}
+
+std::optional<core::OptionIssue> set_log_level(Config& c,
+                                               std::string_view name) {
+  if (name.empty()) return std::nullopt;
+  const std::optional<obs::LogLevel> level = obs::parse_log_level(name);
+  if (!level) {
+    return core::OptionIssue{
+        "log-level", "--log-level must be error, warn, info, or debug (got '" +
+                         std::string(name) + "')"};
+  }
+  c.log_level = *level;
+  return std::nullopt;
+}
+
+/// `query --strand`: empty leaves the choice to the server.
+std::optional<core::OptionIssue> set_query_strand(Config& c,
+                                                  std::string_view name) {
+  if (name == "plus") {
+    c.query_strand = net::QueryStrand::kPlus;
+  } else if (name == "minus") {
+    c.query_strand = net::QueryStrand::kMinus;
+  } else if (name == "both") {
+    c.query_strand = net::QueryStrand::kBoth;
+  } else if (!name.empty()) {
+    return core::OptionIssue{"strand",
+                             "--strand must be plus, minus, or both (got '" +
+                                 std::string(name) + "')"};
+  }
+  return std::nullopt;
+}
+
+// A row's destination: `field` of the Config being parsed.
+#define SLOT(field) [](Config& c) -> Slot { return &c.field; }
+
+constexpr Flag kHelpFlags[] = {
+    {"help", kSwitch, "", "show this message and exit", SLOT(help)},
+};
+
+/// The flat compare form's own flags.
+constexpr Flag kCompareFlags[] = {
+    {"bank1", kText, "FILE", "query-side bank (m8 qseqid column)",
+     SLOT(bank1_path)},
+};
+constexpr Flag kProbeFlags[] = {
+    {"kernel", kSwitch, "",
+     "print the match-run kernel this machine\n"
+     "dispatches to (scalar/sse4.1/avx2) and exit",
+     SLOT(kernel_probe)},
+    {"version", kSwitch, "", "show version and exit", SLOT(version)},
+};
+
+/// Input, output and --stats of the compare, `search` and `query` forms.
+constexpr Flag kOutputFlags[] = {
+    {"bank2", kText, "FILE", "subject-side bank (m8 sseqid column)",
+     SLOT(bank2_path)},
+    {"out", kText, "FILE", "write m8 output to FILE (default: stdout)",
+     SLOT(out_path)},
+    {"stats", kSwitch, "", "print run statistics to stderr", SLOT(stats)},
+};
+
+/// Session settings of the compare, `search` and `serve` forms.
+constexpr Flag kSearchFlags[] = {
+    {"w", kInt, "N", "seed length, {range} (default 11)", SLOT(options.w),
+     core::Options::kMinW, core::Options::kMaxW},
+    {"threads", kInt, "N", "worker threads for steps 2-3 (default 1)",
+     SLOT(options.threads), core::Options::kMinThreads,
+     core::Options::kMaxThreads},
+    {"shards", kSize, "N",
+     "step-2 seed-code shards per strand/slice group\n"
+     "(default 0 = auto; output-invariant)",
+     SLOT(options.shards), 0, core::Options::kMaxShards},
+    {.name = "strand", .kind = kText, .metavar = "S",
+     .help = "plus (default, paper's -S 1), minus, or both", .set = set_strand},
+    {.name = "schedule", .kind = kText, .metavar = "S",
+     .help = "shard scheduler: stealing (default) or static",
+     .set = set_schedule},
+    {"evalue", kDouble, "E", "e-value cutoff (default 1e-3)",
+     SLOT(options.max_evalue)},
+    {"dust", kSwitch, "BOOL", "low-complexity filter (default true)",
+     SLOT(options.dust)},
+    {"no-dust", kSwitch, "", "shorthand for --dust false"},
+    {"asymmetric", kSwitch, "", "10-nt words, stride-2 index on bank2",
+     SLOT(options.asymmetric)},
+    {"s1", kInt, "SCORE", "minimum HSP raw score (default 25)",
+     SLOT(options.min_hsp_score), 0, core::Options::kMaxHspScore},
+    {"memory-budget-mb", kSize, "N",
+     "stream bank2 in slices under N MB of\n"
+     "index memory (default: no slicing)",
+     SLOT(memory_budget_mb), 1, 1 << 20},
+    {"delivery-budget-kb", kSize, "N",
+     "bound the multi-group merge's output\n"
+     "buffering to N KB; sorted group runs spill to\n"
+     "temp files over it (default: unbounded)",
+     SLOT(delivery_budget_kb), 1, 1 << 20},
+    {"tmp-dir", kText, "DIR",
+     "directory for spill-run temp files (default:\n"
+     "the system temp directory)",
+     SLOT(options.tmp_dir)},
+};
+
+/// Tracing, kernel and distribution flags of the compare and `search`
+/// forms.
+constexpr Flag kRunFlags[] = {
+    {"trace-json", kText, "FILE",
+     "write per-stage spans (index/scan/gapped/\n"
+     "merge) as Chrome trace_event JSON to FILE",
+     SLOT(trace_json_path)},
+    {"force-scalar", kSwitch, "",
+     "pin step 2 to the scalar match-run kernel\n"
+     "instead of the best SIMD one (output-invariant;\n"
+     "for A/B timing)",
+     SLOT(options.force_scalar_kernel)},
+    {"workers", kEndpoints, "LIST",
+     "comma-separated `$0 worker` endpoints\n"
+     "(host:port or unix:/path); distribute plan\n"
+     "groups over them, byte-identical output",
+     SLOT(workers)},
+    {"worker-timeout-ms", kInt, "N",
+     "per-worker connect deadline and recv\n"
+     "silence bound (default 30000)",
+     SLOT(worker_timeout_ms), 1, 1 << 30},
+    {"dist-slices", kSize, "N",
+     "minimum bank2 slices when distributing\n"
+     "(default 0 = auto; output-invariant)",
+     SLOT(dist_slices), 0, 1 << 20},
+};
+
+constexpr Flag kIndexFlags[] = {
+    {"bank", kText, "FILE", "bank to index (FASTA or .scob; also positional)",
+     SLOT(bank1_path)},
+    {"out", kText, "FILE", "artifact path to create (required)",
+     SLOT(out_path)},
+    {"w", kInt, "N",
+     "seed length, {range} (default 11; use 10 for\n"
+     "searches that will run --asymmetric)",
+     SLOT(options.w), core::Options::kMinW, store::kMaxStoreW},
+    {"dust", kSwitch, "BOOL",
+     "DUST-mask before indexing (default true); the\n"
+     "search must use the same setting",
+     SLOT(options.dust)},
+    {"no-dust", kSwitch, "", "shorthand for --dust false"},
+    {"stats", kSwitch, "", "print a build summary to stderr", SLOT(stats)},
+};
+
+constexpr Flag kArtifactFlags[] = {
+    {"index", kText, "FILE", ".scix artifact built by `$0 index`",
+     SLOT(index_path)},
+};
+
+constexpr Flag kServeFlags[] = {
+    {"index", kText, "FILE", "reference: .scix artifact, .scob bank, or FASTA",
+     SLOT(index_path)},
+    {"max-clients", kSize, "N",
+     "concurrent admitted connections (default 4);\n"
+     "excess connections get a BUSY frame",
+     SLOT(max_clients), 1, 1 << 10},
+};
+
+/// The two daemons, `serve` and `worker`.
+constexpr Flag kDaemonFlags[] = {
+    {"listen", kEndpoint, "ADDR",
+     "host:port (port 0 = ephemeral, real port in the\n"
+     "ready line) or unix:/path/to.sock",
+     SLOT(endpoint)},
+    {"backlog", kInt, "N", "kernel accept-queue bound (default 16)",
+     SLOT(backlog), 1, 1 << 12},
+    {.name = "log-level", .kind = kText, .metavar = "L",
+     .help = "error, warn, info (default), or debug", .set = set_log_level},
+    {"log-file", kText, "FILE",
+     "append structured logs to FILE (default: the\n"
+     "error stream)",
+     SLOT(log_file)},
+};
+
+constexpr Flag kWorkerFlags[] = {
+    {"threads", kInt, "N",
+     "engine threads per job (default 1);\n"
+     "output-invariant, chosen by the worker",
+     SLOT(options.threads), core::Options::kMinThreads,
+     core::Options::kMaxThreads},
+    {"max-jobs", kSize, "N",
+     "concurrent coordinator connections (default 2);\n"
+     "excess connections are refused",
+     SLOT(max_jobs), 1, 1 << 10},
+};
+
+constexpr Flag kConnectFlags[] = {
+    {"connect", kEndpoint, "ADDR",
+     "host:port or unix:/path, as given to --listen", SLOT(endpoint)},
+};
+
+constexpr Flag kQueryFlags[] = {
+    {.name = "strand", .kind = kText, .metavar = "S",
+     .help = "plus, minus, or both (default: the server's)",
+     .set = set_query_strand},
+    {"retry", kInt, "N",
+     "retry a BUSY refusal up to N times with capped\n"
+     "exponential backoff (default 0 = fail fast)",
+     SLOT(retry), 0, 1000},
+    {"retry-backoff-ms", kInt, "M",
+     "delay before the first retry (default\n"
+     "100; doubles per attempt, capped at 5000)",
+     SLOT(retry_backoff_ms), 1, 1 << 20},
+};
+
+#undef SLOT
+
+/// One entry form of the binary.
+struct Form {
+  std::string_view name;  ///< argv[1]; empty for the flat compare form
+  const char* intro;      ///< --help's usage lines and prose; $0 = program
+  std::vector<Flag> flags;
+  /// Positionals, required flags and rules across flags, checked once
+  /// every flag parsed; false after printing the diagnostic.
+  bool (*check)(const util::Args&, Config&, std::ostream&);
+  int (*run)(const Config&, std::ostream& out, std::ostream& err);
+  bool positionals = false;  ///< `check` takes positional arguments
+};
+
+std::vector<Flag> join(std::initializer_list<std::span<const Flag>> groups) {
+  std::vector<Flag> flags;
+  for (const std::span<const Flag> group : groups) {
+    flags.insert(flags.end(), group.begin(), group.end());
+  }
+  return flags;
+}
+
+std::string replace_all(std::string text, std::string_view from,
+                        std::string_view to) {
+  for (std::size_t at = text.find(from); at != std::string::npos;
+       at = text.find(from, at + to.size())) {
+    text.replace(at, from.size(), to);
+  }
+  return text;
+}
+
+/// A form's --help: its intro, then one entry per flag of the table.
+void print_usage(std::ostream& os, const Form& form,
+                 const std::string& program) {
+  std::string text = std::string(form.intro) + "\noptions:\n";
+  for (const Flag& flag : form.flags) {
+    std::string head = std::string("  --") + flag.name;
+    if (*flag.metavar != '\0') head += std::string(" ") + flag.metavar;
+    // Help starts in column 18, on the next line under a long flag.
+    head += head.size() < 18 ? std::string(18 - head.size(), ' ')
+                             : "\n" + std::string(18, ' ');
+    const std::string range =
+        std::to_string(flag.lo) + ".." + std::to_string(flag.hi);
+    text += head +
+            replace_all(replace_all(flag.help, "{range}", range), "\n",
+                        "\n" + std::string(18, ' ')) +
+            '\n';
+  }
+  os << replace_all(std::move(text), "$0", program);
 }
 
 /// Split `--workers host:port,unix:/path,...` into parsed endpoints.
@@ -469,23 +495,198 @@ bool parse_worker_list(const std::string& spec,
   return true;
 }
 
+/// Parse a non-switch flag's value into its slot; false after printing
+/// why it was rejected.
+bool read_value(const util::Args& args, const Flag& flag, Config& c,
+                std::ostream& err) {
+  const std::string name = flag.name;
+  const std::string raw = args.get(name);
+  switch (flag.kind) {
+    case kSwitch:
+      break;
+    case kInt:
+    case kSize: {
+      const std::optional<std::int64_t> v = args.get_int_strict(name);
+      if (!v) {
+        err << "error: --" << name << " expects an integer, got '" << raw
+            << "'\n";
+        return false;
+      }
+      if (const auto issue = core::check_range(name, *v, flag.lo, flag.hi)) {
+        err << "error: " << issue->message << '\n';
+        return false;
+      }
+      if (flag.kind == kInt) {
+        *std::get<int*>(flag.slot(c)) = static_cast<int>(*v);
+      } else {
+        *std::get<std::size_t*>(flag.slot(c)) = static_cast<std::size_t>(*v);
+      }
+      break;
+    }
+    case kDouble: {
+      const std::optional<double> v = args.get_double_strict(name);
+      if (!v) {
+        err << "error: --" << name << " expects a number, got '" << raw
+            << "'\n";
+        return false;
+      }
+      *std::get<double*>(flag.slot(c)) = *v;
+      break;
+    }
+    case kText:
+      *std::get<std::string*>(flag.slot(c)) = raw;
+      break;
+    case kEndpoint:
+      try {
+        *std::get<net::Endpoint*>(flag.slot(c)) = net::parse_endpoint(raw);
+      } catch (const net::NetError& e) {
+        err << "error: " << e.what() << '\n';
+        return false;
+      }
+      break;
+    case kEndpoints:
+      return parse_worker_list(
+          raw, *std::get<std::vector<net::Endpoint>*>(flag.slot(c)), err);
+  }
+  return true;
+}
+
+/// Parse argv (argv[0] is the program or the subcommand token) against
+/// the form's flags; false after printing the first usage error.
+bool parse_form(const Form& form, int argc, const char* const* argv,
+                Config& c, std::ostream& err) {
+  const util::Args args = util::Args::parse(argc, argv);
+  for (const std::string& name : args.flag_names()) {
+    if (std::none_of(form.flags.begin(), form.flags.end(),
+                     [&name](const Flag& flag) { return name == flag.name; })) {
+      err << "error: unknown flag --" << name << '\n';
+      return false;
+    }
+  }
+
+  // Args greedily binds `--flag token` even for switches, so `scoris
+  // --stats a.fa b.fa` would silently swallow `a.fa`. Catch any value
+  // that is not a boolean spelling and say what happened.
+  for (const Flag& flag : form.flags) {
+    if (flag.kind != kSwitch || !args.has(flag.name)) continue;
+    const std::string raw = args.get(flag.name);
+    if (raw != "true" && raw != "false" && raw != "1" && raw != "0" &&
+        raw != "yes" && raw != "no") {
+      err << "error: --" << flag.name << " does not take a value (got '"
+          << raw << "'); place boolean flags after the banks or write --"
+          << flag.name << "=true\n";
+      return false;
+    }
+    if (flag.slot != nullptr) {
+      *std::get<bool*>(flag.slot(c)) = args.get_flag(flag.name);
+    }
+  }
+  if (c.help || c.version || c.kernel_probe) return true;
+
+  if (!form.positionals && !args.positional().empty()) {
+    err << "error: " << form.name << " takes no positional arguments, got '"
+        << args.positional()[0] << "'\n";
+    return false;
+  }
+
+  // Values are checked one by one and the first bad one stops the parse;
+  // name spellings and the assembled Options are then reported together,
+  // as Session's constructor would reject them.
+  std::vector<core::OptionIssue> issues;
+  for (const Flag& flag : form.flags) {
+    if (flag.kind == kSwitch || !args.has(flag.name)) continue;
+    if (flag.set != nullptr) {
+      if (auto issue = flag.set(c, args.get(flag.name))) {
+        issues.push_back(std::move(*issue));
+      }
+    } else if (!read_value(args, flag, c, err)) {
+      return false;
+    }
+  }
+  // --no-dust overrides --dust; Options holds the delivery budget in bytes.
+  if (args.get_flag("no-dust")) c.options.dust = false;
+  c.options.delivery_budget_bytes = c.delivery_budget_kb << 10;
+  for (core::OptionIssue& issue : c.options.validate()) {
+    issues.push_back(std::move(issue));
+  }
+  for (const core::OptionIssue& issue : issues) {
+    err << "error: " << issue.message << '\n';
+  }
+  return issues.empty() && form.check(args, c, err);
+}
+
+bool require(bool present, const char* message, std::ostream& err) {
+  if (!present) err << "error: " << message << '\n';
+  return present;
+}
+
+bool check_compare(const util::Args& args, Config& c, std::ostream& err) {
+  const auto& positional = args.positional();
+  if (!positional.empty()) {
+    if (!c.bank1_path.empty() || !c.bank2_path.empty()) {
+      err << "error: unexpected positional argument '" << positional[0]
+          << "' (banks already given via --bank1/--bank2)\n";
+      return false;
+    }
+    if (positional.size() != 2) {
+      err << "error: expected exactly two positional banks, got "
+          << positional.size() << '\n';
+      return false;
+    }
+    c.bank1_path = positional[0];
+    c.bank2_path = positional[1];
+  }
+  return require(!c.bank1_path.empty() && !c.bank2_path.empty(),
+                 "both --bank1 and --bank2 are required", err);
+}
+
+bool check_index(const util::Args& args, Config& c, std::ostream& err) {
+  const auto& positional = args.positional();
+  if (!positional.empty()) {
+    if (!c.bank1_path.empty() || positional.size() != 1) {
+      err << "error: expected exactly one bank (--bank FILE or one "
+             "positional)\n";
+      return false;
+    }
+    c.bank1_path = positional[0];
+  }
+  return require(!c.bank1_path.empty(), "--bank is required", err) &&
+         require(!c.out_path.empty(), "--out is required", err);
+}
+
+bool check_search(const util::Args& /*args*/, Config& c, std::ostream& err) {
+  if (!require(!c.index_path.empty() && !c.bank2_path.empty(),
+               "both --index and --bank2 are required", err)) {
+    return false;
+  }
+  // No artifact payload has a W above kMaxStoreW, so a larger one is a
+  // usage error here — except under --asymmetric, where the effective
+  // word length is 10.
+  if (c.options.w > store::kMaxStoreW && !c.options.asymmetric) {
+    err << "error: --w must be <= " << store::kMaxStoreW
+        << " for search (.scix artifacts cap W at " << store::kMaxStoreW
+        << ")\n";
+    return false;
+  }
+  return true;
+}
+
 /// One search through the distributed coordinator (--workers given):
 /// byte-identical m8, plan groups fanned out over the worker endpoints
-/// plus this process.  `index_path` non-empty ships the reference as a
-/// .scix path (the `search` form); otherwise the bank is inlined.
+/// plus this process.
 SearchOutcome search_distributed(const Session& session,
                                  const seqio::SequenceBank& bank2,
                                  HitSink& sink, const SearchLimits& limits,
-                                 const CliConfig& config,
-                                 const std::string& index_path,
-                                 std::vector<net::Endpoint> workers,
-                                 std::ostream& err) {
+                                 const Config& config, std::ostream& err) {
   dist::DistConfig dcfg;
-  dcfg.workers = std::move(workers);
+  dcfg.workers = config.workers;
   dcfg.connect_timeout_ms = config.worker_timeout_ms;
   dcfg.recv_timeout_ms = config.worker_timeout_ms;
   dcfg.dist_slices = config.dist_slices;
-  dcfg.index_path = index_path;
+  // Workers that share a filesystem load the .scix themselves (the
+  // `search` form); the coordinator inlines bank bytes only on the flat
+  // compare form.
+  dcfg.index_path = config.index_path;
   // Worker lifecycle events (connects, retries, abandoned workers) are
   // operational news the user should see; warn keeps the happy path
   // quiet.
@@ -494,12 +695,21 @@ SearchOutcome search_distributed(const Session& session,
   return dist::run_distributed(session, bank2, sink, limits, dcfg);
 }
 
-int run_compare(const CliConfig& config, std::ostream& out,
-                std::ostream& err) {
-  seqio::SequenceBank bank1;
+/// The compare and `search` forms: one search of bank2 against the
+/// reference, with m8 lines streaming to the sink as they become final.
+int run_compare(const Config& config, std::ostream& out, std::ostream& err) {
+  // `search` takes the reference from a .scix artifact.  Session's store
+  // constructor enforces that a payload matches this search's effective
+  // settings; anything else silently changes the seed set, so it throws
+  // with a diagnostic listing the available payloads.
+  std::optional<Session> session;
   seqio::SequenceBank bank2;
   try {
-    bank1 = load_bank(config.bank1_path);
+    if (config.index_path.empty()) {
+      session.emplace(load_bank(config.bank1_path), config.options);
+    } else {
+      session.emplace(store::load_index(config.index_path), config.options);
+    }
     bank2 = load_bank(config.bank2_path);
   } catch (const std::exception& e) {
     err << "error: " << e.what() << '\n';
@@ -511,30 +721,27 @@ int run_compare(const CliConfig& config, std::ostream& out,
   if (!open_sink(config, out, out_file, sink, err)) return kRuntimeError;
 
   try {
-    // One-shot session: the reference is indexed once and m8 lines
-    // stream to the sink as they become final instead of accumulating.
-    Session session(std::move(bank1), config.options);
     M8Writer writer(*sink);
     obs::TraceRecorder trace;
     SearchLimits limits;
-    limits.memory_budget_bytes =
-        static_cast<std::size_t>(config.memory_budget_mb) << 20;
+    limits.memory_budget_bytes = config.memory_budget_mb << 20;
     if (!config.trace_json_path.empty()) limits.trace = &trace;
-    SearchOutcome outcome;
-    if (!config.workers.empty()) {
-      std::vector<net::Endpoint> workers;
-      if (!parse_worker_list(config.workers, workers, err)) return kUsage;
-      outcome = search_distributed(session, bank2, writer, limits, config,
-                                   /*index_path=*/"", std::move(workers),
-                                   err);
-    } else {
-      outcome = session.search(bank2, writer, limits);
-    }
+    const SearchOutcome outcome =
+        config.workers.empty()
+            ? session->search(bank2, writer, limits)
+            : search_distributed(*session, bank2, writer, limits, config, err);
     if (!flush_sink(config, *sink, err)) return kRuntimeError;
     if (!config.trace_json_path.empty()) {
       trace.write_chrome_json(config.trace_json_path);
     }
-    if (config.stats) print_outcome_stats(err, config, outcome);
+    if (config.stats) {
+      if (config.memory_budget_mb > 0) {
+        err << "scoris: streamed bank2 in " << outcome.slices
+            << " slice(s) under a " << config.memory_budget_mb
+            << " MB index budget\n";
+      }
+      print_stats(err, outcome.stats, outcome.stats.alignments);
+    }
   } catch (const SinkError& e) {
     // Output delivery failed (disk full, downstream pipe closed): the
     // pipeline itself was fine, so say what actually went wrong instead
@@ -551,73 +758,21 @@ int run_compare(const CliConfig& config, std::ostream& out,
   return kOk;
 }
 
-int run_search(const CliConfig& config, std::ostream& out,
-               std::ostream& err) {
-  // Session's store constructor enforces that a payload matches this
-  // search's effective settings; anything else silently changes the seed
-  // set, so it throws with a diagnostic listing the available payloads.
-  std::optional<Session> session;
-  seqio::SequenceBank bank2;
-  try {
-    session.emplace(store::load_index(config.index_path), config.options);
-    bank2 = load_bank(config.bank2_path);
-  } catch (const std::exception& e) {
-    err << "error: " << e.what() << '\n';
-    return kRuntimeError;
-  }
-
-  std::ofstream out_file;
-  std::ostream* sink = nullptr;
-  if (!open_sink(config, out, out_file, sink, err)) return kRuntimeError;
-
-  try {
-    M8Writer writer(*sink);
-    obs::TraceRecorder trace;
-    SearchLimits limits;
-    limits.memory_budget_bytes =
-        static_cast<std::size_t>(config.memory_budget_mb) << 20;
-    if (!config.trace_json_path.empty()) limits.trace = &trace;
-    SearchOutcome outcome;
-    if (!config.workers.empty()) {
-      std::vector<net::Endpoint> workers;
-      if (!parse_worker_list(config.workers, workers, err)) return kUsage;
-      // Workers that share a filesystem load the .scix themselves; the
-      // coordinator only inlines bank bytes on the flat compare form.
-      outcome = search_distributed(*session, bank2, writer, limits, config,
-                                   config.index_path, std::move(workers),
-                                   err);
-    } else {
-      outcome = session->search(bank2, writer, limits);
-    }
-    if (!flush_sink(config, *sink, err)) return kRuntimeError;
-    if (!config.trace_json_path.empty()) {
-      trace.write_chrome_json(config.trace_json_path);
-    }
-    if (config.stats) print_outcome_stats(err, config, outcome);
-  } catch (const SinkError& e) {
-    discard_partial_output(config, out_file);
-    err << "error: " << e.what() << '\n';
-    return kRuntimeError;
-  } catch (const std::exception& e) {
-    discard_partial_output(config, out_file);
-    err << "error: pipeline failed: " << e.what() << '\n';
-    return kRuntimeError;
-  }
-  return kOk;
-}
-
-int run_index(const IndexCliConfig& config, std::ostream& err) {
+int run_index(const Config& config, std::ostream& /*out*/,
+              std::ostream& err) {
   seqio::SequenceBank bank;
   try {
-    bank = load_bank(config.bank_path);
+    bank = load_bank(config.bank1_path);
   } catch (const std::exception& e) {
     err << "error: " << e.what() << '\n';
     return kRuntimeError;
   }
 
+  // Stride-1 only: the .scix format holds subsampled payloads for the
+  // library API, but `search` consumes stride 1 for the bank1 side.
   store::IndexKey key;
-  key.w = config.w;
-  key.dust = config.dust;
+  key.w = config.options.w;
+  key.dust = config.options.dust;
   try {
     store::write_index_file(config.out_path, bank, {&key, 1});
   } catch (const std::exception& e) {
@@ -675,16 +830,13 @@ class StopSignalScope {
 /// key=value fields, on `err` or the --log-file.  Diagnostics the CLI
 /// emits before the logger exists stay plain "error:" lines on err;
 /// false after such a line.
-bool open_daemon_logger(const std::string& log_level,
-                        const std::string& log_file, std::ostream& err,
+bool open_daemon_logger(const Config& config, std::ostream& err,
                         std::optional<obs::Logger>& logger) {
-  const obs::LogLevel level =
-      obs::parse_log_level(log_level).value_or(obs::LogLevel::kInfo);
   try {
-    if (!log_file.empty()) {
-      logger.emplace(log_file, level);
+    if (!config.log_file.empty()) {
+      logger.emplace(config.log_file, config.log_level);
     } else {
-      logger.emplace(err, level);
+      logger.emplace(err, config.log_level);
     }
   } catch (const std::exception& e) {
     err << "error: " << e.what() << '\n';
@@ -707,16 +859,14 @@ void serve_until_signalled(Daemon& daemon, obs::Logger& logger,
   daemon.serve();
 }
 
-int run_serve(const ServeCliConfig& config, std::ostream& err) {
+int run_serve(const Config& config, std::ostream& /*out*/,
+              std::ostream& err) {
   std::optional<obs::Logger> logger;
-  if (!open_daemon_logger(config.log_level, config.log_file, err, logger)) {
-    return kRuntimeError;
-  }
+  if (!open_daemon_logger(config, err, logger)) return kRuntimeError;
 
   std::optional<Session> session;
   try {
-    session.emplace(
-        Session::open(config.search.index_path, config.search.options));
+    session.emplace(Session::open(config.index_path, config.options));
   } catch (const std::exception& e) {
     err << "error: " << e.what() << '\n';
     return kRuntimeError;
@@ -726,8 +876,8 @@ int run_serve(const ServeCliConfig& config, std::ostream& err) {
   server_config.endpoint = config.endpoint;
   server_config.backlog = config.backlog;
   server_config.max_clients = config.max_clients;
-  server_config.base_limits.memory_budget_bytes =
-      static_cast<std::size_t>(config.search.memory_budget_mb) << 20;
+  server_config.base_limits.memory_budget_bytes = config.memory_budget_mb
+                                                  << 20;
   server_config.logger = &*logger;
 
   try {
@@ -736,7 +886,7 @@ int run_serve(const ServeCliConfig& config, std::ostream& err) {
         server, *logger, "scoris serve",
         {obs::kv("max_clients",
                  static_cast<unsigned long long>(config.max_clients)),
-         obs::kv("threads", config.search.threads)});
+         obs::kv("threads", config.options.threads)});
     const daemon::ServerCounters counters = server.counters();
     logger->info("scoris serve: shut down after " +
                      std::to_string(counters.served) + " queries",
@@ -750,8 +900,7 @@ int run_serve(const ServeCliConfig& config, std::ostream& err) {
   return kOk;
 }
 
-int run_query(const QueryCliConfig& config, std::ostream& out,
-              std::ostream& err) {
+int run_query(const Config& config, std::ostream& out, std::ostream& err) {
   // Re-serialize through the bank loader so .scob inputs work and a
   // malformed FASTA fails here, with a local diagnostic, rather than as
   // a server-side ERR.
@@ -766,21 +915,9 @@ int run_query(const QueryCliConfig& config, std::ostream& out,
     return kRuntimeError;
   }
 
-  net::QueryStrand strand = net::QueryStrand::kDefault;
-  if (config.strand == "plus") strand = net::QueryStrand::kPlus;
-  else if (config.strand == "minus") strand = net::QueryStrand::kMinus;
-  else if (config.strand == "both") strand = net::QueryStrand::kBoth;
-
   std::ofstream out_file;
-  std::ostream* sink = &out;
-  if (!config.out_path.empty()) {
-    out_file.open(config.out_path);
-    if (!out_file) {
-      err << "error: cannot create " << config.out_path << '\n';
-      return kRuntimeError;
-    }
-    sink = &out_file;
-  }
+  std::ostream* sink = nullptr;
+  if (!open_sink(config, out, out_file, sink, err)) return kRuntimeError;
 
   try {
     // A saturated daemon refuses with BUSY instead of queueing; --retry
@@ -808,8 +945,8 @@ int run_query(const QueryCliConfig& config, std::ostream& out,
           << client->max_query_bytes() << '\n';
       return kRuntimeError;
     }
-    const net::QueryResult result =
-        client->query(fasta, strand, [&](std::string_view rows) {
+    const net::QueryResult result = client->query(
+        fasta, config.query_strand, [&](std::string_view rows) {
           sink->write(rows.data(),
                       static_cast<std::streamsize>(rows.size()));
           if (!*sink) {
@@ -817,16 +954,12 @@ int run_query(const QueryCliConfig& config, std::ostream& out,
           }
         });
     if (!result.ok) {
+      // The server may have streamed rows before failing.
+      discard_partial_output(config, out_file);
       err << "error: server: " << result.error << '\n';
       return kRuntimeError;
     }
-    sink->flush();
-    if (!*sink) {
-      err << "error: writing m8 output"
-          << (config.out_path.empty() ? "" : " to " + config.out_path)
-          << " failed\n";
-      return kRuntimeError;
-    }
+    if (!flush_sink(config, *sink, err)) return kRuntimeError;
     if (config.stats) {
       err << "scoris query: " << result.alignments << " alignments, "
           << result.row_bytes << " m8 bytes";
@@ -841,22 +974,22 @@ int run_query(const QueryCliConfig& config, std::ostream& out,
       err << '\n';
     }
   } catch (const std::exception& e) {
+    discard_partial_output(config, out_file);
     err << "error: " << e.what() << '\n';
     return kRuntimeError;
   }
   return kOk;
 }
 
-int run_worker(const WorkerCliConfig& config, std::ostream& err) {
+int run_worker(const Config& config, std::ostream& /*out*/,
+               std::ostream& err) {
   std::optional<obs::Logger> logger;
-  if (!open_daemon_logger(config.log_level, config.log_file, err, logger)) {
-    return kRuntimeError;
-  }
+  if (!open_daemon_logger(config, err, logger)) return kRuntimeError;
 
   dist::WorkerConfig worker_config;
   worker_config.endpoint = config.endpoint;
   worker_config.backlog = config.backlog;
-  worker_config.threads = config.threads;
+  worker_config.threads = config.options.threads;
   worker_config.max_jobs = config.max_jobs;
   worker_config.logger = &*logger;
 
@@ -865,7 +998,7 @@ int run_worker(const WorkerCliConfig& config, std::ostream& err) {
     serve_until_signalled(
         worker, *logger, "scoris worker",
         {obs::kv("max_jobs", static_cast<unsigned long long>(config.max_jobs)),
-         obs::kv("threads", config.threads)});
+         obs::kv("threads", config.options.threads)});
     const dist::WorkerCounters counters = worker.counters();
     logger->info("scoris worker: shut down after " +
                      std::to_string(counters.groups) + " groups",
@@ -879,8 +1012,7 @@ int run_worker(const WorkerCliConfig& config, std::ostream& err) {
   return kOk;
 }
 
-int run_stats(const StatsCliConfig& config, std::ostream& out,
-              std::ostream& err) {
+int run_stats(const Config& config, std::ostream& out, std::ostream& err) {
   try {
     net::QueryClient client = net::QueryClient::connect(config.endpoint);
     out << client.stats();
@@ -896,479 +1028,131 @@ int run_stats(const StatsCliConfig& config, std::ostream& out,
   return kOk;
 }
 
+constexpr const char* kCompareIntro =
+    R"(usage: $0 --bank1 <a.fa> --bank2 <b.fa> [options]
+       $0 <a.fa> <b.fa> [options]
+       $0 index --bank <ref.fa> --out <ref.scix>
+       $0 search --index <ref.scix> --bank2 <b.fa> [options]
+       $0 serve --index <ref.scix> --listen <addr>
+       $0 query --connect <addr> --bank2 <b.fa>
+       $0 stats --connect <addr>
+       $0 worker --listen <addr>
+
+Compare two DNA banks with the ORIS pipeline and write BLAST -m 8
+tabular output. Banks are FASTA files (or binary .scob banks);
+`index`/`search` prebuild and reuse a .scix bank+index artifact
+(see `$0 index --help`).
+)";
+
+constexpr const char* kIndexIntro =
+    R"(usage: $0 index --bank <ref.fa> --out <ref.scix> [options]
+
+Build a persistent .scix artifact: the bank (2-bit packed) plus a
+precomputed seed index, loadable by `$0 search` without
+re-parsing FASTA or re-scanning a single sequence.
+)";
+
+constexpr const char* kSearchIntro =
+    R"(usage: $0 search --index <ref.scix> --bank2 <b.fa> [options]
+
+Compare a prebuilt .scix artifact (the bank1/query side) against a
+FASTA/.scob bank. Output is byte-identical to the flat invocation
+on the artifact's source FASTA when the settings match: --w and
+--dust must match a payload of the artifact (`$0 index --help`
+gives its W range), and --asymmetric needs a w=10 payload. With
+--workers, each worker loads the .scix from its own filesystem
+(shared path required).
+)";
+
+constexpr const char* kServeIntro =
+    R"(usage: $0 serve --index <ref.scix> --listen <addr> [options]
+
+Run the scorisd daemon: prepare the reference once, then answer
+FASTA queries from concurrent network clients over one shared
+immutable session (see docs/API.md for the wire protocol); the
+session options are those of `$0 search`, and the memory budgets
+apply per query. Prints `listening on <addr>` to stderr when ready;
+SIGINT or SIGTERM drains in-flight queries and exits 0.
+)";
+
+constexpr const char* kQueryIntro =
+    R"(usage: $0 query --connect <addr> --bank2 <b.fa> [options]
+
+Send one bank to a running `$0 serve` daemon and stream the
+m8 result to stdout (or --out). Exits 1 if the server is busy,
+unreachable, or reports a query error.
+)";
+
+constexpr const char* kStatsIntro = R"(usage: $0 stats --connect <addr>
+
+Fetch a live metrics snapshot from a running `$0 serve`
+daemon and print it to stdout in Prometheus text exposition
+format (see docs/OBSERVABILITY.md for the metric inventory).
+Requires a protocol-v2 server. Exits 1 if the server is busy,
+unreachable, or too old to answer STAT frames.
+)";
+
+constexpr const char* kWorkerIntro =
+    R"(usage: $0 worker --listen <addr> [options]
+
+Run a distributed shard worker: wait for a coordinator (`$0`
+with --workers), receive the reference + query bank + options,
+execute assigned plan groups through the local engine, and stream
+each sorted run back over the connection (docs/API.md, worker
+protocol v1). Prints `listening on <addr>` when ready; SIGINT or
+SIGTERM drains in-flight groups and exits 0.
+)";
+
+/// The seven forms; the first, the flat compare form, also catches an
+/// argv[1] that names no subcommand.
+const std::vector<Form>& forms() {
+  static const std::vector<Form> kForms = {
+      {"", kCompareIntro,
+       join({kCompareFlags, kOutputFlags, kSearchFlags, kRunFlags,
+             kProbeFlags, kHelpFlags}),
+       check_compare, run_compare, /*positionals=*/true},
+      {"index", kIndexIntro, join({kIndexFlags, kHelpFlags}), check_index,
+       run_index, /*positionals=*/true},
+      {"search", kSearchIntro,
+       join({kArtifactFlags, kOutputFlags, kSearchFlags, kRunFlags,
+             kHelpFlags}),
+       check_search, run_compare},
+      {"serve", kServeIntro,
+       join({kServeFlags, kDaemonFlags, kSearchFlags, kHelpFlags}),
+       [](const util::Args& args, Config& c, std::ostream& err) {
+         return require(!c.index_path.empty() && args.has("listen"),
+                        "both --index and --listen are required", err);
+       },
+       run_serve},
+      {"query", kQueryIntro,
+       join({kConnectFlags, kOutputFlags, kQueryFlags, kHelpFlags}),
+       [](const util::Args& args, Config& c, std::ostream& err) {
+         return require(args.has("connect") && !c.bank2_path.empty(),
+                        "both --connect and --bank2 are required", err);
+       },
+       run_query},
+      {"stats", kStatsIntro, join({kConnectFlags, kHelpFlags}),
+       [](const util::Args& args, Config&, std::ostream& err) {
+         return require(args.has("connect"), "--connect is required", err);
+       },
+       run_stats},
+      {"worker", kWorkerIntro, join({kDaemonFlags, kWorkerFlags, kHelpFlags}),
+       [](const util::Args& args, Config&, std::ostream& err) {
+         return require(args.has("listen"), "--listen is required", err);
+       },
+       run_worker},
+  };
+  return kForms;
+}
+
 }  // namespace
-
-void print_usage(std::ostream& os, const std::string& program) {
-  os << "usage: " << program
-     << " --bank1 <a.fa> --bank2 <b.fa> [options]\n"
-     << "       " << program << " <a.fa> <b.fa> [options]\n"
-     << "       " << program << " index --bank <ref.fa> --out <ref.scix>\n"
-     << "       " << program
-     << " search --index <ref.scix> --bank2 <b.fa> [options]\n"
-     << "       " << program << " serve --index <ref.scix> --listen <addr>\n"
-     << "       " << program << " query --connect <addr> --bank2 <b.fa>\n"
-     << "       " << program << " stats --connect <addr>\n"
-     << "       " << program << " worker --listen <addr>\n"
-     << "\n"
-     << "Compare two DNA banks with the ORIS pipeline and write BLAST -m 8\n"
-     << "tabular output. Banks are FASTA files (or binary .scob banks);\n"
-     << "`index`/`search` prebuild and reuse a .scix bank+index artifact\n"
-     << "(see `" << program << " index --help`).\n"
-     << "\n"
-     << "options:\n"
-     << "  --bank1 FILE    query-side bank (m8 qseqid column)\n"
-     << "  --bank2 FILE    subject-side bank (m8 sseqid column)\n"
-     << "  --out FILE      write m8 output to FILE (default: stdout)\n"
-     << "  --w N           seed length, 4..14 (default 11)\n"
-     << "  --threads N     worker threads for steps 2-3 (default 1)\n"
-     << "  --shards N      step-2 seed-code shards per strand/slice group\n"
-     << "                  (default 0 = auto; output-invariant)\n"
-     << "  --schedule S    shard scheduler: stealing (default) or static\n"
-     << "  --strand S      plus (default, paper's -S 1), minus, or both\n"
-     << "  --evalue E      e-value cutoff (default 1e-3)\n"
-     << "  --dust BOOL     low-complexity filter (default true)\n"
-     << "  --no-dust       shorthand for --dust false\n"
-     << "  --asymmetric    10-nt words, stride-2 index on bank2\n"
-     << "  --s1 SCORE      minimum HSP raw score (default 25)\n"
-     << "  --memory-budget-mb N   stream bank2 in slices under N MB of\n"
-     << "                  index memory (default: no slicing)\n"
-     << "  --delivery-budget-kb N   bound the multi-group merge's output\n"
-     << "                  buffering to N KB; sorted group runs spill to\n"
-     << "                  temp files over it (default: unbounded)\n"
-     << "  --tmp-dir DIR   directory for spill-run temp files (default:\n"
-     << "                  the system temp directory)\n"
-     << "  --trace-json FILE   write per-stage spans (index/scan/gapped/\n"
-     << "                  merge) as Chrome trace_event JSON to FILE\n"
-     << "  --workers LIST  comma-separated `" << program
-     << " worker` endpoints\n"
-     << "                  (host:port or unix:/path); distribute plan\n"
-     << "                  groups over them, byte-identical output\n"
-     << "  --worker-timeout-ms N   per-worker connect deadline and recv\n"
-     << "                  silence bound (default 30000)\n"
-     << "  --dist-slices N minimum bank2 slices when distributing\n"
-     << "                  (default 0 = auto; output-invariant)\n"
-     << "  --force-scalar  pin step 2 to the scalar match-run kernel\n"
-     << "                  instead of the best SIMD one (output-invariant;\n"
-     << "                  for A/B timing)\n"
-     << "  --stats         print per-step statistics to stderr\n"
-     << "  --kernel        print the match-run kernel this machine\n"
-     << "                  dispatches to (scalar/sse4.1/avx2) and exit\n"
-     << "  --help          show this message and exit\n"
-     << "  --version       show version and exit\n";
-}
-
-void print_index_usage(std::ostream& os, const std::string& program) {
-  os << "usage: " << program
-     << " index --bank <ref.fa> --out <ref.scix> [options]\n"
-     << "\n"
-     << "Build a persistent .scix artifact: the bank (2-bit packed) plus a\n"
-     << "precomputed seed index, loadable by `" << program
-     << " search` without\n"
-     << "re-parsing FASTA or re-scanning a single sequence.\n"
-     << "\n"
-     << "options:\n"
-     << "  --bank FILE     bank to index (FASTA or .scob; also positional)\n"
-     << "  --out FILE      artifact path to create (required)\n"
-     << "  --w N           seed length, 4..13 (default 11; use 10 for\n"
-     << "                  searches that will run --asymmetric)\n"
-     << "  --dust BOOL     DUST-mask before indexing (default true); the\n"
-     << "                  search must use the same setting\n"
-     << "  --no-dust       shorthand for --dust false\n"
-     << "  --stats         print a build summary to stderr\n"
-     << "  --help          show this message and exit\n";
-}
-
-void print_search_usage(std::ostream& os, const std::string& program) {
-  os << "usage: " << program
-     << " search --index <ref.scix> --bank2 <b.fa> [options]\n"
-     << "\n"
-     << "Compare a prebuilt .scix artifact (the bank1/query side) against a\n"
-     << "FASTA/.scob bank. Output is byte-identical to the flat invocation\n"
-     << "on the artifact's source FASTA when the settings match.\n"
-     << "\n"
-     << "options:\n"
-     << "  --index FILE    .scix artifact built by `" << program
-     << " index`\n"
-     << "  --bank2 FILE    subject-side bank (m8 sseqid column)\n"
-     << "  --out FILE      write m8 output to FILE (default: stdout)\n"
-     << "  --w N           seed length; must match the artifact (default 11)\n"
-     << "  --threads N     worker threads for steps 2-3 (default 1)\n"
-     << "  --shards N      step-2 seed-code shards per strand/slice group\n"
-     << "                  (default 0 = auto; output-invariant)\n"
-     << "  --schedule S    shard scheduler: stealing (default) or static\n"
-     << "  --strand S      plus (default), minus, or both\n"
-     << "  --evalue E      e-value cutoff (default 1e-3)\n"
-     << "  --dust BOOL / --no-dust   must match the artifact (default true)\n"
-     << "  --asymmetric    10-nt words, stride-2 index on bank2 (artifact\n"
-     << "                  must hold a w=10 payload)\n"
-     << "  --s1 SCORE      minimum HSP raw score (default 25)\n"
-     << "  --memory-budget-mb N   stream bank2 in slices under N MB of\n"
-     << "                  index memory (default: no slicing)\n"
-     << "  --delivery-budget-kb N   bound the multi-group merge's output\n"
-     << "                  buffering to N KB; sorted group runs spill to\n"
-     << "                  temp files over it (default: unbounded)\n"
-     << "  --tmp-dir DIR   directory for spill-run temp files (default:\n"
-     << "                  the system temp directory)\n"
-     << "  --trace-json FILE   write per-stage spans (index/scan/gapped/\n"
-     << "                  merge) as Chrome trace_event JSON to FILE\n"
-     << "  --workers LIST  comma-separated `" << program
-     << " worker` endpoints;\n"
-     << "                  workers load the .scix from their own\n"
-     << "                  filesystem (shared path required)\n"
-     << "  --worker-timeout-ms N   per-worker connect deadline and recv\n"
-     << "                  silence bound (default 30000)\n"
-     << "  --dist-slices N minimum bank2 slices when distributing\n"
-     << "                  (default 0 = auto; output-invariant)\n"
-     << "  --force-scalar  pin step 2 to the scalar match-run kernel\n"
-     << "                  instead of the best SIMD one (output-invariant;\n"
-     << "                  for A/B timing)\n"
-     << "  --stats         print per-step statistics to stderr\n"
-     << "  --help          show this message and exit\n";
-}
-
-void print_serve_usage(std::ostream& os, const std::string& program) {
-  os << "usage: " << program
-     << " serve --index <ref.scix> --listen <addr> [options]\n"
-     << "\n"
-     << "Run the scorisd daemon: prepare the reference once, then answer\n"
-     << "FASTA queries from concurrent network clients over one shared\n"
-     << "immutable session (see docs/API.md for the wire protocol).\n"
-     << "Prints `listening on <addr>` to stderr when ready; SIGINT or\n"
-     << "SIGTERM drains in-flight queries and exits 0.\n"
-     << "\n"
-     << "options:\n"
-     << "  --index FILE    reference: .scix artifact, .scob bank, or FASTA\n"
-     << "  --listen ADDR   host:port (port 0 = ephemeral, real port in the\n"
-     << "                  ready line) or unix:/path/to.sock\n"
-     << "  --max-clients N concurrent admitted connections (default 4);\n"
-     << "                  excess connections get a BUSY frame\n"
-     << "  --backlog N     kernel accept-queue bound (default 16)\n"
-     << "  --threads N     worker threads shared by all queries (default 1)\n"
-     << "  --w / --strand / --evalue / --dust / --no-dust / --asymmetric /\n"
-     << "  --s1 / --shards / --schedule   session options, as in `"
-     << program << " search`\n"
-     << "  --memory-budget-mb N / --delivery-budget-kb N / --tmp-dir DIR\n"
-     << "                  per-query memory discipline, as in `" << program
-     << " search`\n"
-     << "  --log-level L   error, warn, info (default), or debug\n"
-     << "  --log-file FILE append structured logs to FILE (default: the\n"
-     << "                  error stream)\n"
-     << "  --help          show this message and exit\n";
-}
-
-void print_query_usage(std::ostream& os, const std::string& program) {
-  os << "usage: " << program
-     << " query --connect <addr> --bank2 <b.fa> [options]\n"
-     << "\n"
-     << "Send one bank to a running `" << program
-     << " serve` daemon and stream the\n"
-     << "m8 result to stdout (or --out). Exits 1 if the server is busy,\n"
-     << "unreachable, or reports a query error.\n"
-     << "\n"
-     << "options:\n"
-     << "  --connect ADDR  host:port or unix:/path, as given to --listen\n"
-     << "  --bank2 FILE    subject-side bank (FASTA or .scob)\n"
-     << "  --out FILE      write m8 output to FILE (default: stdout)\n"
-     << "  --strand S      plus, minus, or both (default: the server's)\n"
-     << "  --stats         print the result summary to stderr (includes\n"
-     << "                  the server-side query seconds on v2 servers)\n"
-     << "  --retry N       retry a BUSY refusal up to N times with capped\n"
-     << "                  exponential backoff (default 0 = fail fast)\n"
-     << "  --retry-backoff-ms M   delay before the first retry (default\n"
-     << "                  100; doubles per attempt, capped at 5000)\n"
-     << "  --help          show this message and exit\n";
-}
-
-void print_stats_usage(std::ostream& os, const std::string& program) {
-  os << "usage: " << program << " stats --connect <addr>\n"
-     << "\n"
-     << "Fetch a live metrics snapshot from a running `" << program
-     << " serve`\n"
-     << "daemon and print it to stdout in Prometheus text exposition\n"
-     << "format (see docs/OBSERVABILITY.md for the metric inventory).\n"
-     << "Requires a protocol-v2 server. Exits 1 if the server is busy,\n"
-     << "unreachable, or too old to answer STAT frames.\n"
-     << "\n"
-     << "options:\n"
-     << "  --connect ADDR  host:port or unix:/path, as given to --listen\n"
-     << "  --help          show this message and exit\n";
-}
-
-void print_worker_usage(std::ostream& os, const std::string& program) {
-  os << "usage: " << program << " worker --listen <addr> [options]\n"
-     << "\n"
-     << "Run a distributed shard worker: wait for a coordinator (`"
-     << program << "`\n"
-     << "with --workers), receive the reference + query bank + options,\n"
-     << "execute assigned plan groups through the local engine, and stream\n"
-     << "each sorted run back over the connection (docs/API.md, worker\n"
-     << "protocol v1). Prints `listening on <addr>` when ready; SIGINT or\n"
-     << "SIGTERM drains in-flight groups and exits 0.\n"
-     << "\n"
-     << "options:\n"
-     << "  --listen ADDR   host:port (port 0 = ephemeral, real port in the\n"
-     << "                  ready line) or unix:/path/to.sock\n"
-     << "  --threads N     engine threads per job (default 1);\n"
-     << "                  output-invariant, chosen by the worker\n"
-     << "  --max-jobs N    concurrent coordinator connections (default 2);\n"
-     << "                  excess connections are refused\n"
-     << "  --backlog N     kernel accept-queue bound (default 16)\n"
-     << "  --log-level L   error, warn, info (default), or debug\n"
-     << "  --log-file FILE append structured logs to FILE (default: the\n"
-     << "                  error stream)\n"
-     << "  --help          show this message and exit\n";
-}
 
 bool parse_cli(int argc, const char* const* argv, CliConfig& config,
                std::ostream& err) {
-  const util::Args args = util::Args::parse(argc, argv);
-
-  if (!reject_unknown_flags(args, known_flags(), err)) return false;
-
-  for (const char* name : {"stats", "asymmetric", "dust", "no-dust",
-                           "force-scalar", "kernel", "help", "version"}) {
-    if (!check_boolean_flag(args, name, err)) return false;
-  }
-
-  config.help = args.get_flag("help");
-  config.version = args.get_flag("version");
-  config.kernel_probe = args.get_flag("kernel");
-  if (config.help || config.version || config.kernel_probe) return true;
-
-  config.bank1_path = args.get("bank1");
-  config.bank2_path = args.get("bank2");
-  const auto& positional = args.positional();
-  if (!positional.empty()) {
-    if (!config.bank1_path.empty() || !config.bank2_path.empty()) {
-      err << "error: unexpected positional argument '" << positional[0]
-          << "' (banks already given via --bank1/--bank2)\n";
-      return false;
-    }
-    if (positional.size() != 2) {
-      err << "error: expected exactly two positional banks, got "
-          << positional.size() << '\n';
-      return false;
-    }
-    config.bank1_path = positional[0];
-    config.bank2_path = positional[1];
-  }
-  if (config.bank1_path.empty() || config.bank2_path.empty()) {
-    err << "error: both --bank1 and --bank2 are required\n";
-    return false;
-  }
-
-  return parse_search_options(args, config, err);
-}
-
-bool parse_search_cli(int argc, const char* const* argv, CliConfig& config,
-                      std::ostream& err) {
-  const util::Args args = util::Args::parse(argc, argv);
-
-  if (!reject_unknown_flags(args, known_search_flags(), err)) return false;
-  for (const char* name : {"stats", "asymmetric", "dust", "no-dust",
-                           "force-scalar", "help"}) {
-    if (!check_boolean_flag(args, name, err)) return false;
-  }
-
-  config.help = args.get_flag("help");
-  if (config.help) return true;
-
-  if (!reject_positionals(args, "search", err)) return false;
-  config.index_path = args.get("index");
-  config.bank2_path = args.get("bank2");
-  if (config.index_path.empty() || config.bank2_path.empty()) {
-    err << "error: both --index and --bank2 are required\n";
-    return false;
-  }
-  if (!parse_search_options(args, config, err)) return false;
-  // Artifacts cap W at 13 (4^W offsets); the flat form's W=14 can never
-  // match a payload, so reject it here as the usage error it is —
-  // except under --asymmetric, where the effective word length is 10.
-  if (config.w > 13 && !config.asymmetric) {
-    err << "error: --w must be <= 13 for search (.scix artifacts cap W at "
-           "13)\n";
-    return false;
-  }
-  return true;
-}
-
-bool parse_index_cli(int argc, const char* const* argv,
-                     IndexCliConfig& config, std::ostream& err) {
-  const util::Args args = util::Args::parse(argc, argv);
-
-  if (!reject_unknown_flags(args, known_index_flags(), err)) return false;
-  for (const char* name : {"stats", "dust", "no-dust", "help"}) {
-    if (!check_boolean_flag(args, name, err)) return false;
-  }
-
-  config.help = args.get_flag("help");
-  if (config.help) return true;
-
-  config.bank_path = args.get("bank");
-  const auto& positional = args.positional();
-  if (!positional.empty()) {
-    if (!config.bank_path.empty() || positional.size() != 1) {
-      err << "error: expected exactly one bank (--bank FILE or one "
-             "positional)\n";
-      return false;
-    }
-    config.bank_path = positional[0];
-  }
-  if (config.bank_path.empty()) {
-    err << "error: --bank is required\n";
-    return false;
-  }
-  config.out_path = args.get("out");
-  if (config.out_path.empty()) {
-    err << "error: --out is required\n";
-    return false;
-  }
-  if (!parse_int_flag(args, "w", 4, 13, config.w, err)) return false;
-  config.dust = args.get_flag("dust", true);
-  if (args.get_flag("no-dust")) config.dust = false;
-  config.stats = args.get_flag("stats");
-  return true;
-}
-
-bool parse_serve_cli(int argc, const char* const* argv,
-                     ServeCliConfig& config, std::ostream& err) {
-  const util::Args args = util::Args::parse(argc, argv);
-
-  if (!reject_unknown_flags(args, known_serve_flags(), err)) return false;
-  for (const char* name : {"asymmetric", "dust", "no-dust", "help"}) {
-    if (!check_boolean_flag(args, name, err)) return false;
-  }
-
-  config.help = args.get_flag("help");
-  if (config.help) return true;
-
-  if (!reject_positionals(args, "serve", err)) return false;
-  config.search.index_path = args.get("index");
-  const std::string listen = args.get("listen");
-  if (config.search.index_path.empty() || listen.empty()) {
-    err << "error: both --index and --listen are required\n";
-    return false;
-  }
-  if (!parse_endpoint_flag(listen, config.endpoint, err)) return false;
-  std::size_t max_clients = config.max_clients;
-  if (!parse_size_flag(args, "max-clients", 1, 1 << 10, max_clients, err)) {
-    return false;
-  }
-  config.max_clients = max_clients;
-  if (!parse_int_flag(args, "backlog", 1, 1 << 12, config.backlog, err)) {
-    return false;
-  }
-  return parse_log_flags(args, config.log_level, config.log_file, err) &&
-         parse_search_options(args, config.search, err);
-}
-
-bool parse_query_cli(int argc, const char* const* argv,
-                     QueryCliConfig& config, std::ostream& err) {
-  const util::Args args = util::Args::parse(argc, argv);
-
-  if (!reject_unknown_flags(args, known_query_flags(), err)) return false;
-  for (const char* name : {"stats", "help"}) {
-    if (!check_boolean_flag(args, name, err)) return false;
-  }
-
-  config.help = args.get_flag("help");
-  if (config.help) return true;
-
-  if (!reject_positionals(args, "query", err)) return false;
-  const std::string connect = args.get("connect");
-  config.bank2_path = args.get("bank2");
-  if (connect.empty() || config.bank2_path.empty()) {
-    err << "error: both --connect and --bank2 are required\n";
-    return false;
-  }
-  if (!parse_endpoint_flag(connect, config.endpoint, err)) return false;
-  config.out_path = args.get("out");
-  config.strand = args.get("strand");
-  if (!config.strand.empty() && config.strand != "plus" &&
-      config.strand != "minus" && config.strand != "both") {
-    err << "error: --strand must be plus, minus, or both (got '"
-        << config.strand << "')\n";
-    return false;
-  }
-  config.stats = args.get_flag("stats");
-  if (!parse_int_flag(args, "retry", 0, 1000, config.retry, err)) {
-    return false;
-  }
-  if (!parse_int_flag(args, "retry-backoff-ms", 1, 1 << 20,
-                      config.retry_backoff_ms, err)) {
-    return false;
-  }
-  return true;
-}
-
-bool parse_worker_cli(int argc, const char* const* argv,
-                      WorkerCliConfig& config, std::ostream& err) {
-  const util::Args args = util::Args::parse(argc, argv);
-
-  if (!reject_unknown_flags(args, known_worker_flags(), err)) return false;
-  if (!check_boolean_flag(args, "help", err)) return false;
-
-  config.help = args.get_flag("help");
-  if (config.help) return true;
-
-  if (!reject_positionals(args, "worker", err)) return false;
-  const std::string listen = args.get("listen");
-  if (listen.empty()) {
-    err << "error: --listen is required\n";
-    return false;
-  }
-  if (!parse_endpoint_flag(listen, config.endpoint, err)) return false;
-  if (!parse_int_flag(args, "threads", 1, 1 << 10, config.threads, err)) {
-    return false;
-  }
-  if (!parse_int_flag(args, "backlog", 1, 1 << 12, config.backlog, err)) {
-    return false;
-  }
-  std::size_t max_jobs = config.max_jobs;
-  if (!parse_size_flag(args, "max-jobs", 1, 1 << 10, max_jobs, err)) {
-    return false;
-  }
-  config.max_jobs = max_jobs;
-  return parse_log_flags(args, config.log_level, config.log_file, err);
-}
-
-bool parse_stats_cli(int argc, const char* const* argv,
-                     StatsCliConfig& config, std::ostream& err) {
-  const util::Args args = util::Args::parse(argc, argv);
-
-  if (!reject_unknown_flags(args, known_stats_flags(), err)) return false;
-  if (!check_boolean_flag(args, "help", err)) return false;
-
-  config.help = args.get_flag("help");
-  if (config.help) return true;
-
-  if (!reject_positionals(args, "stats", err)) return false;
-  const std::string connect = args.get("connect");
-  if (connect.empty()) {
-    err << "error: --connect is required\n";
-    return false;
-  }
-  if (!parse_endpoint_flag(connect, config.endpoint, err)) return false;
-  return true;
-}
-
-/// One subcommand (argv[1]): parse the rest of argv, print its usage on
-/// a usage error or --help, else run it.
-template <typename Config, typename Run>
-int dispatch(int argc, const char* const* argv, const std::string& program,
-             std::ostream& out, std::ostream& err,
-             bool (*parse)(int, const char* const*, Config&, std::ostream&),
-             void (*usage)(std::ostream&, const std::string&), Run&& run) {
-  Config config;
-  if (!parse(argc - 1, argv + 1, config, err)) {
-    usage(err, program);
-    return kUsage;
-  }
-  if (config.help) {
-    usage(out, program);
-    return kOk;
-  }
-  return run(config);
+  Config parsed;
+  const bool ok = parse_form(forms().front(), argc, argv, parsed, err);
+  config = parsed;
+  return ok;
 }
 
 int run(int argc, const char* const* argv, std::ostream& out,
@@ -1378,50 +1162,22 @@ int run(int argc, const char* const* argv, std::ostream& out,
   // EPIPE -> SinkError -> exit 1 instead of dying on SIGPIPE.
   net::ignore_sigpipe();
   const std::string program = argc > 0 ? argv[0] : "scoris";
-  const std::string subcommand = argc > 1 ? argv[1] : "";
+  const std::string_view subcommand = argc > 1 ? argv[1] : "";
+  const std::vector<Form>& all = forms();
+  const auto named =
+      std::find_if(all.begin() + 1, all.end(),
+                   [&](const Form& f) { return f.name == subcommand; });
+  const Form& form = named == all.end() ? all.front() : *named;
+  // A subcommand's argv starts at its own token.
+  const int skip = named == all.end() ? 0 : 1;
 
-  if (subcommand == "index") {
-    return dispatch<IndexCliConfig>(
-        argc, argv, program, out, err, parse_index_cli, print_index_usage,
-        [&](const IndexCliConfig& config) { return run_index(config, err); });
-  }
-  if (subcommand == "search") {
-    return dispatch<CliConfig>(
-        argc, argv, program, out, err, parse_search_cli, print_search_usage,
-        [&](const CliConfig& config) { return run_search(config, out, err); });
-  }
-  if (subcommand == "serve") {
-    return dispatch<ServeCliConfig>(
-        argc, argv, program, out, err, parse_serve_cli, print_serve_usage,
-        [&](const ServeCliConfig& config) { return run_serve(config, err); });
-  }
-  if (subcommand == "query") {
-    return dispatch<QueryCliConfig>(
-        argc, argv, program, out, err, parse_query_cli, print_query_usage,
-        [&](const QueryCliConfig& config) {
-          return run_query(config, out, err);
-        });
-  }
-  if (subcommand == "worker") {
-    return dispatch<WorkerCliConfig>(
-        argc, argv, program, out, err, parse_worker_cli, print_worker_usage,
-        [&](const WorkerCliConfig& config) { return run_worker(config, err); });
-  }
-  if (subcommand == "stats") {
-    return dispatch<StatsCliConfig>(
-        argc, argv, program, out, err, parse_stats_cli, print_stats_usage,
-        [&](const StatsCliConfig& config) {
-          return run_stats(config, out, err);
-        });
-  }
-
-  CliConfig config;
-  if (!parse_cli(argc, argv, config, err)) {
-    print_usage(err, program);
+  Config config;
+  if (!parse_form(form, argc - skip, argv + skip, config, err)) {
+    print_usage(err, form, program);
     return kUsage;
   }
   if (config.help) {
-    print_usage(out, program);
+    print_usage(out, form, program);
     return kOk;
   }
   if (config.version) {
@@ -1434,7 +1190,7 @@ int run(int argc, const char* const* argv, std::ostream& out,
     out << align::simd::dispatch().name << '\n';
     return kOk;
   }
-  return run_compare(config, out, err);
+  return form.run(config, out, err);
 }
 
 }  // namespace scoris::cli

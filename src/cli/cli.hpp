@@ -10,16 +10,19 @@
 //   scoris worker --listen ADDR                  # distributed shard worker
 //
 // Wires util::Args -> FASTA/.scob/.scix loading -> scoris::Session ->
-// streaming M8Writer output.  Option values are validated by
-// core::Options::validate() (the same check Session's constructor runs),
-// so the CLI and the library reject identical configurations.  The whole
-// driver lives in the library (not in main.cpp) so the test suite can run
-// it in-process with captured streams and asserted exit codes.
+// streaming M8Writer output.  Each form's flags, their checks and the
+// options section of its --help come from one flag table in cli.cpp.
+// Option values are validated by core::Options::validate() (the same
+// check Session's constructor runs), so the CLI and the library reject
+// identical configurations.  The whole driver lives in the library (not
+// in main.cpp) so the test suite can run it in-process with captured
+// streams and asserted exit codes.
 #pragma once
 
 #include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "core/options.hpp"
 #include "net/socket.hpp"
@@ -33,119 +36,44 @@ enum ExitCode : int {
   kUsage = 2,         ///< bad / missing / unknown arguments (usage printed)
 };
 
-/// Everything the compare/search driver parsed from argv, exposed for
-/// tests.  `search` mode fills index_path instead of bank1_path.
+/// What the compare and `search` forms parsed from argv, exposed for
+/// tests.  `search` fills index_path instead of bank1_path.  The search
+/// settings (W, threads, strand, ...) are parsed straight into `options`
+/// and checked by core::Options::validate() (the check Session's
+/// constructor runs), so a config that parsed is runnable.
 struct CliConfig {
-  std::string bank1_path;
+  std::string bank1_path;  ///< the reference; `index` reads it from --bank
   std::string bank2_path;
-  std::string index_path;  ///< search only: .scix artifact (bank1 side)
+  std::string index_path;  ///< search/serve: .scix artifact (bank1 side)
   std::string out_path;    ///< empty = stdout
-  int w = 11;
-  int threads = 1;
-  /// Step-2 seed-code shards per (strand x slice) group; 0 = auto.
-  std::size_t shards = 0;
-  std::string schedule = "stealing";  ///< static | stealing
-  int min_hsp_score = 25;
-  double max_evalue = 1e-3;
-  std::string strand = "plus";  ///< plus | minus | both
-  bool dust = true;
-  bool asymmetric = false;
-  /// Pin step 2 to the scalar match-run kernel (Options::
-  /// force_scalar_kernel); output-invariant, for A/B timing and CI.
-  bool force_scalar = false;
   bool stats = false;
   bool help = false;
   bool version = false;
   /// --kernel: print the dispatched match-run kernel name and exit.
   bool kernel_probe = false;
   /// When > 0, stream bank2 in slices so the two in-memory indexes stay
-  /// under this budget (SearchLimits::memory_budget_bytes); available on
-  /// both the flat compare form and `search`.
+  /// under this budget (SearchLimits::memory_budget_bytes).
   std::size_t memory_budget_mb = 0;
   /// When > 0, bound the kGlobal cross-group merge's delivery memory
   /// (Options::delivery_budget_bytes = KB << 10): sorted group runs
   /// spill to temp files over the budget.  KB granularity so spill
   /// behaviour is reachable on small banks.
   std::size_t delivery_budget_kb = 0;
-  /// Spill-run directory (Options::tmp_dir); empty = system temp dir.
-  std::string tmp_dir;
   /// When non-empty, record per-stage spans (index/scan/gapped/merge)
   /// and write them as Chrome trace_event JSON to this path — load it in
   /// chrome://tracing or Perfetto (see docs/OBSERVABILITY.md).
   std::string trace_json_path;
-  /// Comma-separated `scoris worker` endpoints ("host:port,unix:/p").
-  /// Non-empty switches the compare/search drivers onto the distributed
-  /// coordinator (dist/coordinator.hpp); output stays byte-identical to
-  /// the single-process run.
-  std::string workers;
+  /// `scoris worker` endpoints (--workers "host:port,unix:/p").
+  /// Non-empty switches the run onto the distributed coordinator
+  /// (dist/coordinator.hpp); output stays byte-identical to the
+  /// single-process run.
+  std::vector<net::Endpoint> workers;
   /// Per-worker connect deadline and recv-silence bound (milliseconds).
   int worker_timeout_ms = 30000;
   /// Lower bound on bank2 slices for distribution; 0 = auto,
   /// 2 * (workers + 1).  Output-invariant (balance knob only).
   std::size_t dist_slices = 0;
-  /// The validated option set the drivers execute with — filled (and
-  /// checked via core::Options::validate) during parsing, so a config
-  /// that parsed successfully is guaranteed runnable.
   core::Options options;
-};
-
-/// What `scoris index` parsed from argv.  (Stride-subsampled payloads
-/// exist in the .scix format for the library API, but the CLI always
-/// builds stride-1 indexes — that is the only stride `search` consumes
-/// for the bank1 side.)
-struct IndexCliConfig {
-  std::string bank_path;
-  std::string out_path;
-  int w = 11;
-  bool dust = true;
-  bool stats = false;
-  bool help = false;
-};
-
-/// What `scoris serve` parsed from argv.  The session surface (reference
-/// path, W, threads, spill budget, ...) rides in `search` — the same
-/// fields, flags, and validation as `scoris search` — so a serve
-/// configuration is exactly a search configuration plus daemon knobs.
-struct ServeCliConfig {
-  CliConfig search;
-  net::Endpoint endpoint;       ///< parsed --listen
-  std::size_t max_clients = 4;  ///< concurrent admitted connections
-  int backlog = 16;             ///< kernel accept-queue bound
-  std::string log_level = "info";  ///< error | warn | info | debug
-  std::string log_file;  ///< structured-log path; empty = stderr stream
-  bool help = false;
-};
-
-/// What `scoris query` parsed from argv.
-struct QueryCliConfig {
-  net::Endpoint endpoint;  ///< parsed --connect
-  std::string bank2_path;
-  std::string out_path;    ///< empty = stdout
-  std::string strand;      ///< empty = server default; plus|minus|both
-  bool stats = false;      ///< print the DONE summary to stderr
-  /// Retry a BUSY admission refusal up to this many times with capped
-  /// exponential backoff (net::RetryPolicy — the same policy the
-  /// distributed coordinator re-dials workers with).  0 = fail fast.
-  int retry = 0;
-  int retry_backoff_ms = 100;  ///< delay before the first retry
-  bool help = false;
-};
-
-/// What `scoris worker` parsed from argv.
-struct WorkerCliConfig {
-  net::Endpoint endpoint;  ///< parsed --listen
-  int threads = 1;         ///< engine threads per job
-  int backlog = 16;        ///< kernel accept-queue bound
-  std::size_t max_jobs = 2;  ///< concurrent coordinator connections
-  std::string log_level = "info";  ///< error | warn | info | debug
-  std::string log_file;  ///< structured-log path; empty = stderr stream
-  bool help = false;
-};
-
-/// What `scoris stats` parsed from argv.
-struct StatsCliConfig {
-  net::Endpoint endpoint;  ///< parsed --connect
-  bool help = false;
 };
 
 /// Parse argv into a CliConfig (the flat compare form). On error, writes a
@@ -154,44 +82,10 @@ struct StatsCliConfig {
 bool parse_cli(int argc, const char* const* argv, CliConfig& config,
                std::ostream& err);
 
-/// Parse the `scoris search` argv (argv[0] is the subcommand token).
-bool parse_search_cli(int argc, const char* const* argv, CliConfig& config,
-                      std::ostream& err);
-
-/// Parse the `scoris index` argv (argv[0] is the subcommand token).
-bool parse_index_cli(int argc, const char* const* argv,
-                     IndexCliConfig& config, std::ostream& err);
-
-/// Parse the `scoris serve` argv (argv[0] is the subcommand token).
-bool parse_serve_cli(int argc, const char* const* argv,
-                     ServeCliConfig& config, std::ostream& err);
-
-/// Parse the `scoris query` argv (argv[0] is the subcommand token).
-bool parse_query_cli(int argc, const char* const* argv,
-                     QueryCliConfig& config, std::ostream& err);
-
-/// Parse the `scoris stats` argv (argv[0] is the subcommand token).
-bool parse_stats_cli(int argc, const char* const* argv,
-                     StatsCliConfig& config, std::ostream& err);
-
-/// Parse the `scoris worker` argv (argv[0] is the subcommand token).
-bool parse_worker_cli(int argc, const char* const* argv,
-                      WorkerCliConfig& config, std::ostream& err);
-
-/// Full driver: dispatch on the `index` / `search` subcommand (flat
-/// compare otherwise), load inputs, run, write m8 to `out` (or to
-/// config.out_path when given). Diagnostics and --stats go to `err`.
-/// Returns an ExitCode value.
+/// Full driver: dispatch on the subcommand (flat compare otherwise),
+/// parse its flags, and run it; m8 goes to `out` (or to --out when
+/// given), diagnostics and --stats to `err`. Returns an ExitCode value.
 int run(int argc, const char* const* argv, std::ostream& out,
         std::ostream& err);
-
-/// The usage texts printed by --help and on usage errors.
-void print_usage(std::ostream& os, const std::string& program);
-void print_index_usage(std::ostream& os, const std::string& program);
-void print_search_usage(std::ostream& os, const std::string& program);
-void print_serve_usage(std::ostream& os, const std::string& program);
-void print_query_usage(std::ostream& os, const std::string& program);
-void print_stats_usage(std::ostream& os, const std::string& program);
-void print_worker_usage(std::ostream& os, const std::string& program);
 
 }  // namespace scoris::cli

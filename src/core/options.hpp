@@ -92,8 +92,8 @@ struct Options {
   [[nodiscard]] int effective_w() const { return asymmetric ? 10 : w; }
 
   // Canonical bounds.  kMaxW caps the in-memory dictionary at 4^14 int32
-  // entries (1 GiB); .scix artifacts additionally cap W at 13 (see the
-  // index subcommand).  The remaining bounds exist to catch typo-sized
+  // entries (1 GiB); .scix artifacts additionally cap W at
+  // store::kMaxStoreW.  The remaining bounds exist to catch typo-sized
   // values before they allocate or spawn absurd resources.
   static constexpr int kMinW = 4;
   static constexpr int kMaxW = 14;

@@ -32,11 +32,15 @@
 
 namespace scoris::store {
 
+/// Largest W a .scix payload may hold (the in-memory engine allows up to
+/// core::Options::kMaxW).
+inline constexpr int kMaxStoreW = 13;
+
 /// The build settings that identify one index payload.  A search may only
 /// use a payload whose key matches its own effective settings exactly —
 /// anything else changes the seed set and breaks bit-identity.
 struct IndexKey {
-  int w = 11;        ///< word length (4..13)
+  int w = 11;        ///< word length (4..kMaxStoreW)
   int stride = 1;    ///< sequence-local word-start stride
   bool dust = true;  ///< DUST soft mask applied before indexing
   filter::DustParams dust_params;  ///< only meaningful when dust

@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -17,6 +19,8 @@
 
 #include "cli/cli.hpp"
 #include "compare/m8.hpp"
+#include "net/frame.hpp"
+#include "net/socket.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -371,13 +375,13 @@ TEST_F(CliTest, ParseCliPopulatesConfig) {
       << err.str();
   EXPECT_EQ(config.bank1_path, "a.fa");
   EXPECT_EQ(config.bank2_path, "b.fa");
-  EXPECT_EQ(config.w, 9);
-  EXPECT_EQ(config.threads, 4);
-  EXPECT_EQ(config.strand, "both");
-  EXPECT_DOUBLE_EQ(config.max_evalue, 1e-6);
-  EXPECT_FALSE(config.dust);
-  EXPECT_TRUE(config.asymmetric);
-  EXPECT_EQ(config.min_hsp_score, 30);
+  EXPECT_EQ(config.options.w, 9);
+  EXPECT_EQ(config.options.threads, 4);
+  EXPECT_EQ(config.options.strand, scoris::seqio::Strand::kBoth);
+  EXPECT_DOUBLE_EQ(config.options.max_evalue, 1e-6);
+  EXPECT_FALSE(config.options.dust);
+  EXPECT_TRUE(config.options.asymmetric);
+  EXPECT_EQ(config.options.min_hsp_score, 30);
   EXPECT_TRUE(config.stats);
 }
 
@@ -388,7 +392,7 @@ TEST_F(CliTest, DustFalseSpellingDisablesDust) {
   std::ostringstream err;
   ASSERT_TRUE(scoris::cli::parse_cli(static_cast<int>(argv.size()),
                                      argv.data(), config, err));
-  EXPECT_FALSE(config.dust);
+  EXPECT_FALSE(config.options.dust);
 }
 
 // --- index / search subcommands ---------------------------------------------
@@ -822,6 +826,109 @@ TEST_F(CliTest, DistributedFlagsAreValidated) {
                      "--dist-slices", "lots"})
                 .exit_code,
             kUsage);
+}
+
+TEST_F(CliTest, MalformedWorkersListFailsBeforeAnyOutput) {
+  // The endpoint list is parsed with the other flags: a usage error
+  // (usage text, exit 2) before the banks load or --out is created.
+  const std::string out_path = dir_ + "CliTest_MalformedWorkers.m8";
+  const std::string scix = dir_ + "CliTest_MalformedWorkers.scix";
+  std::remove(out_path.c_str());  // left by an earlier, failing run
+  ASSERT_EQ(run_cli({"index", "--bank", bank1_, "--out", scix}).exit_code,
+            kOk);
+  const std::vector<std::vector<std::string>> invocations = {
+      {bank1_, bank2_, "--workers", ",,", "--out", out_path},
+      {"search", "--index", scix, "--bank2", bank2_, "--workers", ",,",
+       "--out", out_path},
+  };
+  for (const auto& argv : invocations) {
+    const CliResult r = run_cli(argv);
+    EXPECT_EQ(r.exit_code, kUsage) << argv[0];
+    EXPECT_NE(r.err.find("error: --workers expects host:port"),
+              std::string::npos)
+        << r.err;
+    EXPECT_NE(r.err.find("usage:"), std::string::npos) << r.err;
+    EXPECT_FALSE(std::filesystem::exists(out_path)) << argv[0];
+  }
+  std::remove(scix.c_str());
+}
+
+TEST_F(CliTest, QueryOutIsEmptiedWhenTheServerFailsMidStream) {
+  // A fake daemon that streams one ROWS frame and then fails the query,
+  // as a real one can after a flush (spill write error, kill mid-run).
+  namespace net = scoris::net;
+  const std::string sock = dir_ + "CliTest_QueryPartial.sock";
+  std::remove(sock.c_str());
+  net::Endpoint ep = net::parse_endpoint("unix:" + sock);
+  net::Socket listener = net::listen_endpoint(ep, 4);
+  std::thread server([&listener] {
+    net::Socket conn = net::accept_connection(listener);
+    ASSERT_TRUE(conn.valid());
+    net::PayloadWriter hello;
+    hello.put_u32(net::kProtocolVersion);
+    hello.put_u64(1 << 20);
+    write_frame(conn, net::kHelloTag, hello.take());
+    net::Frame query;
+    ASSERT_TRUE(read_frame(conn, query));
+    write_frame(conn, net::kRowsTag,
+                std::string_view("qA\tsX\t100.00\t85\t0\t0\t1\t85\t1\t85"
+                                 "\t1e-40\t150\n"));
+    net::PayloadWriter error;
+    error.put_string("spill write failed");
+    write_frame(conn, net::kErrorTag, error.take());
+  });
+  const std::string out_path = dir_ + "CliTest_QueryPartial.m8";
+  const CliResult r = run_cli({"query", "--connect", "unix:" + sock,
+                               "--bank2", bank2_, "--out", out_path});
+  server.join();
+  EXPECT_EQ(r.exit_code, kRuntimeError);
+  EXPECT_NE(r.err.find("error: server: spill write failed"),
+            std::string::npos)
+      << r.err;
+  ASSERT_TRUE(std::filesystem::exists(out_path));
+  EXPECT_EQ(std::filesystem::file_size(out_path), 0u);
+  std::remove(out_path.c_str());
+  std::remove(sock.c_str());
+}
+
+TEST_F(CliTest, HelpListsExactlyTheFlagsEachFormAccepts) {
+  // Every flag heading a line of a form's --help options is a flag of
+  // that form; every flag of the other forms, and an invented one, is
+  // rejected as unknown.
+  const std::vector<std::string> forms = {"",      "index", "search", "serve",
+                                          "query", "stats", "worker"};
+  const auto with_form = [](const std::string& form, std::string arg) {
+    std::vector<std::string> argv;
+    if (!form.empty()) argv.push_back(form);
+    argv.push_back(std::move(arg));
+    return argv;
+  };
+  std::map<std::string, std::set<std::string>> listed;
+  std::set<std::string> names = {"no-such-flag"};
+  for (const std::string& form : forms) {
+    const CliResult help = run_cli(with_form(form, "--help"));
+    ASSERT_EQ(help.exit_code, kOk) << form;
+    const std::size_t options = help.out.find("\noptions:\n");
+    ASSERT_NE(options, std::string::npos) << form;
+    std::istringstream lines(help.out.substr(options));
+    for (std::string line; std::getline(lines, line);) {
+      if (line.rfind("  --", 0) != 0) continue;
+      const std::string name = line.substr(4, line.find(' ', 4) - 4);
+      listed[form].insert(name);
+      names.insert(name);
+    }
+    EXPECT_TRUE(listed[form].count("help")) << form;
+  }
+  for (const std::string& form : forms) {
+    for (const std::string& name : names) {
+      const CliResult r = run_cli(with_form(form, "--" + name + "=x"));
+      const bool unknown =
+          r.err.find("error: unknown flag --" + name + "\n") !=
+          std::string::npos;
+      EXPECT_EQ(unknown, listed[form].count(name) == 0)
+          << "form '" << form << "', --" << name << ": " << r.err;
+    }
+  }
 }
 
 TEST_F(CliTest, QueryRetryFlagsAreValidated) {
